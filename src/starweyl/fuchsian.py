@@ -345,33 +345,47 @@ def _fit_scale(target, diags) -> float:
                max(float(np.linalg.norm(d)) for d in diags))
 
 
+def _commutator_jacobian(mats):
+    """Jacobian of X_1..X_k -> sum_k (X_k A_k - A_k X_k) for the (k, n, n)
+    stack mats: the blocks I (x) A_k^T - A_k (x) I side by side, built by
+    broadcasting with the same products np.kron forms."""
+    k, n, _ = mats.shape
+    eye = np.eye(n)
+    left = eye[None, :, None, :, None] * mats.transpose(0, 2, 1)[:, None, :, None, :]
+    right = mats[:, :, None, :, None] * eye[None, None, :, None, :]
+    # axes (k, i, p, j, q) -> row (i, p), column (k, j, q)
+    return (left - right).transpose(1, 2, 0, 3, 4).reshape(n * n, k * n * n)
+
+
 def _tr_gauss_newton(gs, diags, target, tol, max_iters=500):
     """Trust-region Gauss-Newton for sum_k g_k D_k g_k^{-1} = target,
-    acting on the conjugators.  Returns (gs, mats, residual)."""
+    acting on the conjugators.  Returns (gs, mats, residual) with gs and
+    mats as lists of matrices."""
     n = target.shape[0]
     eye = np.eye(n)
     k = len(diags)
     scale = _fit_scale(target, diags)
+    diags = np.array(diags)
 
     def normalize_cols(g):
         # g D g^{-1} is invariant under right-multiplication by diagonals,
         # so column rescaling costs nothing and keeps g well conditioned
-        norms = np.linalg.norm(g, axis=0)
-        return g / np.where(norms > 0, norms, 1.0)
+        norms = np.linalg.norm(g, axis=-2)
+        return g / np.where(norms > 0, norms, 1.0)[..., None, :]
 
     def assemble(gs):
-        mats = [g @ d @ np.linalg.inv(g) for g, d in zip(gs, diags)]
+        mats = gs @ diags @ np.linalg.inv(gs)
         return mats, sum(mats) - target
 
-    gs = [normalize_cols(g) for g in gs]
+    gs = normalize_cols(np.array(gs))
     mats, f = assemble(gs)
     res = float(np.linalg.norm(f))
     radius = 0.5
     for _ in range(max_iters):
         if res < tol * scale:
             break
-        jac = np.hstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
-        x, *_ = np.linalg.lstsq(jac, -f.ravel(), rcond=None)
+        x, *_ = np.linalg.lstsq(_commutator_jacobian(mats), -f.ravel(),
+                                rcond=None)
         nx = float(np.linalg.norm(x))
         if nx > radius:
             x = x * (radius / nx)
@@ -379,8 +393,7 @@ def _tr_gauss_newton(gs, diags, target, tol, max_iters=500):
         step = 1.0
         accepted = False
         for _ in range(10):
-            cand = [normalize_cols((eye + step * xk) @ g)
-                    for xk, g in zip(xs, gs)]
+            cand = normalize_cols((eye + step * xs) @ gs)
             try:
                 mats_c, f_c = assemble(cand)
             except np.linalg.LinAlgError:
@@ -400,7 +413,7 @@ def _tr_gauss_newton(gs, diags, target, tol, max_iters=500):
             radius /= 3
             if radius < 1e-6:
                 break
-    return gs, mats, res
+    return list(gs), list(mats), res
 
 
 def _draw_starts(n, count, style, rng):

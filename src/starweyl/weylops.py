@@ -18,6 +18,7 @@ repairing it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -437,11 +438,19 @@ def _unit_move(finite, poles, nu, up, up_val, down, down_val, tol, rng):
     return new_fin
 
 
-def _multiset_poly_error(a: np.ndarray, values) -> float:
-    actual = np.poly(np.asarray(a, dtype=complex))
+@functools.lru_cache(maxsize=256)
+def _multiset_poly(values: tuple) -> tuple[np.ndarray, float]:
+    """Characteristic polynomial with the given roots, as complex
+    coefficients, and its coefficient scale."""
     target = np.array([ratlin.to_complex(c)
                        for c in ratlin.poly_from_roots([(v, 1) for v in values])])
-    scale = max(1.0, float(np.max(np.abs(target))))
+    target.setflags(write=False)
+    return target, max(1.0, float(np.max(np.abs(target))))
+
+
+def _multiset_poly_error(a: np.ndarray, values) -> float:
+    actual = np.poly(np.asarray(a, dtype=complex))
+    target, scale = _multiset_poly(tuple(values))
     return float(np.max(np.abs(actual - target))) / scale
 
 
@@ -531,6 +540,13 @@ def _offset_candidates(t_shifts, mults, mu_c: int, keep: int = 3):
     return scored[:keep]
 
 
+@functools.lru_cache(maxsize=64)
+def _ranked_offsets(t_shifts: tuple, mults: tuple, mu_c: int, keep: int):
+    """_offset_candidates memoised on tuples: every step along one
+    translation vector asks for the same ranking."""
+    return tuple(_offset_candidates(t_shifts, mults, mu_c, keep))
+
+
 def _move_profile(g: StarGraph, coords):
     """Per-pole slot shifts and multiplicities for the level-zero integral
     vector with the given finite coordinates; the eigenvalue shifts are
@@ -556,16 +572,12 @@ def _move_profile(g: StarGraph, coords):
     return mu_c, t_shifts, mults
 
 
-_LIGHT_BASIS_CACHE: dict = {}
-
-
+@functools.cache
 def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
     """A Z-basis of the weight lattice P(R) chosen to minimise the number
     of elementary Schlesinger moves per vector (the standard basis
     e_i - delta_i e_ext contains needlessly heavy directions)."""
     from .ratlin import smith_diagonal
-    if g.legs in _LIGHT_BASIS_CACHE:
-        return _LIGHT_BASIS_CACHE[g.legs]
     r = len(g.finite_nodes)
     delta = g.delta
     scored = []
@@ -593,9 +605,7 @@ def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
         ext = -sum(delta[i] * c for i, c in zip(g.finite_nodes, coords))
         out.append(ParamVector(tuple(Fraction(c) for c in coords)
                                + (Fraction(ext),)))
-    result = tuple(out)
-    _LIGHT_BASIS_CACHE[g.legs] = result
-    return result
+    return tuple(out)
 
 
 def _plan_moves(sys: FuchsianSystem, mu: ParamVector, keep: int = 3):
@@ -621,56 +631,41 @@ def _plan_moves(sys: FuchsianSystem, mu: ParamVector, keep: int = 3):
         t_shifts.append([int(x) for x in d])
         mults.append(list(old[p].mults))
     plans = []
-    for _, consts in _offset_candidates(t_shifts, mults, int(mu_c), keep):
+    for _, consts in _ranked_offsets(tuple(map(tuple, t_shifts)),
+                                     tuple(map(tuple, mults)), int(mu_c), keep):
         shifts = [[t + consts[p] for t in t_shifts[p]] for p in range(sys.m)]
         plans.append((shifts, consts))
     return lam_new, plans
 
 
-def _run_moves(sys0: FuchsianSystem, shifts, order_seed: int,
-               guard: float = 5e-7):
-    """Execute the planned elementary moves, returning the new finite
-    residues.  order_seed 0 pairs pending moves in lexicographic order;
-    larger seeds shuffle the pairing, used to retry around degeneracies
+def _move_sequence(specs, shifts, order_seed: int):
+    """The elementary moves of one run, from the exact bookkeeping alone.
+
+    shifts holds the integer shift of each listed eigenvalue of each
+    pole's spec; every copy of an eigenvalue is a slot of its own.
+    Returns the moves as (up pole, up slot, down pole, down slot) and the
+    message of the bookkeeping failure that ends the run after them, or
+    None.  order_seed 0 pairs pending moves in lexicographic order; larger
+    seeds shuffle the pairing, used to retry around degeneracies
     (intermediate states can pass near walls in an order-dependent way)."""
-    specs = sys0.specs
-    values, targets = [], []
-    for p in range(sys0.m):
-        vals, tgts = [], []
-        for (v, m), d in zip(specs[p].entries, shifts[p]):
-            vals.extend([v] * m)
-            tgts.extend([v + d] * m)
-        values.append(vals)
-        targets.append(tgts)
-
-    rng = np.random.default_rng(order_seed + 1)
+    values = [list(spec.eigen_list()) for spec in specs]
+    left = [[d for (_, mult), d in zip(spec.entries, row) for _ in range(mult)]
+            for spec, row in zip(specs, shifts)]
     shuffler = np.random.default_rng(order_seed) if order_seed else None
-    finite = list(sys0.finite_residues)
-    inf = sys0.m - 1
-
-    def pending():
-        ups, downs = [], []
-        for p in range(sys0.m):
-            for c, (v, t) in enumerate(zip(values[p], targets[p])):
-                if t > v:
-                    ups.append((p, c))
-                elif t < v:
-                    downs.append((p, c))
+    m = len(values)
+    moves = []
+    while True:
+        ups = [(p, c) for p in range(m) for c, d in enumerate(left[p]) if d > 0]
+        downs = [(p, c) for p in range(m) for c, d in enumerate(left[p]) if d < 0]
         if shuffler is not None:
             shuffler.shuffle(ups)
             shuffler.shuffle(downs)
-        return ups, downs
-
-    moves_done = 0
-    while True:
-        ups, downs = pending()
         if not ups and not downs:
-            break
-        moves_done += 1
-        if moves_done > 10000:
-            raise DegeneracyError("translation planner did not terminate")
+            return tuple(moves), None
+        if len(moves) == 10000:
+            return tuple(moves), "translation planner did not terminate"
         if bool(ups) != bool(downs):
-            raise DegeneracyError("unbalanced translation plan")
+            return tuple(moves), "unbalanced translation plan"
         pair = next(((u, d) for u in ups for d in downs if u[0] != d[0]), None)
         if pair is not None:
             (pu, cu), (pd, cd) = pair
@@ -679,25 +674,67 @@ def _run_moves(sys0: FuchsianSystem, shifts, order_seed: int,
             # auxiliary pole one step down; the compensating up-move then
             # pairs across poles on a later iteration
             (pu, cu) = ups[0]
-            aux = next(p for p in range(sys0.m) if p != pu)
-            vset = set(values[aux])
-            cd = next((c for c, v in enumerate(values[aux])
+            pd = next(p for p in range(m) if p != pu)
+            vset = set(values[pd])
+            cd = next((c for c, v in enumerate(values[pd])
                        if v - 1 not in vset), None)
             if cd is None:
-                raise DegeneracyError("no collision-free auxiliary slot")
-            pd = aux
-        finite = _unit_move(finite, sys0.poles, sys0.nu, pu, values[pu][cu],
-                            pd, values[pd][cd], sys0.tol, rng)
+                return tuple(moves), "no collision-free auxiliary slot"
+        moves.append((pu, cu, pd, cd))
         values[pu][cu] += 1
         values[pd][cd] -= 1
-        n = sys0.n
+        left[pu][cu] -= 1
+        left[pd][cd] += 1
 
-        def worst_drift(fin):
-            a_m = _cx(sys0.nu) * np.eye(n) - sum(fin)
-            return max(_multiset_poly_error(a_m if p == inf else fin[p],
-                                            values[p])
-                       for p in range(sys0.m))
 
+@dataclass(eq=False)
+class _MoveRun:
+    """One move sequence of a translate plan and how far it has got.
+
+    Every number a run computes is independent of the drift guard, which
+    only decides whether to stop; so a run stopped by a strict guard
+    resumes under a looser one from where it stopped."""
+
+    consts: tuple           # the plan's per-pole constants
+    moves: tuple            # (up pole, up slot, down pole, down slot)
+    stop: str | None        # bookkeeping failure after the last move
+    finite: list            # finite residues after `done` moves
+    values: list            # exact per-pole slot values after `done` moves
+    rng: np.random.Generator  # test points of the gauge checks
+    done: int = 0
+    drift: float = 0.0      # worst orbit drift after the last move
+    failure: DegeneracyError | None = None  # a failure no guard lifts
+
+
+def _run_moves(sys0: FuchsianSystem, run: _MoveRun, guard: float):
+    """Execute the remaining moves of a run, returning the new finite
+    residues.  Raises DegeneracyError when the drift after a move exceeds
+    the guard (the run may resume under a looser one) or when the run
+    fails in a way no guard lifts (recorded as run.failure)."""
+    n = sys0.n
+    inf = sys0.m - 1
+    values = run.values
+
+    def worst_drift(fin):
+        a_m = _cx(sys0.nu) * np.eye(n) - sum(fin)
+        return max(_multiset_poly_error(a_m if p == inf else fin[p], values[p])
+                   for p in range(sys0.m))
+
+    # guard the scaffolding states; the final tuple is additionally held to
+    # the full tolerance after re-anchoring
+    if run.drift > guard:
+        raise DegeneracyError(f"intermediate orbit drift {run.drift:.2e}")
+    while run.done < len(run.moves):
+        pu, cu, pd, cd = run.moves[run.done]
+        try:
+            finite = _unit_move(run.finite, sys0.poles, sys0.nu, pu,
+                                values[pu][cu], pd, values[pd][cd], sys0.tol,
+                                run.rng)
+        except DegeneracyError as exc:
+            run.failure = exc
+            raise
+        values[pu][cu] += 1
+        values[pd][cd] -= 1
         err = worst_drift(finite)
         if err > 1e-9:
             # near-degenerate passages amplify the witness error; re-anchor
@@ -706,11 +743,13 @@ def _run_moves(sys0: FuchsianSystem, shifts, order_seed: int,
             if polished is not None:
                 finite = polished
                 err = worst_drift(finite)
-        # guard the scaffolding states; the final tuple is additionally
-        # held to the full tolerance after re-anchoring
+        run.finite, run.done, run.drift = finite, run.done + 1, err
         if err > guard:
             raise DegeneracyError(f"intermediate orbit drift {err:.2e}")
-    return finite
+    if run.stop is not None:
+        run.failure = DegeneracyError(run.stop)
+        raise run.failure
+    return run.finite
 
 
 def _polish_residues(finite, exact_values, nu):
@@ -749,33 +788,74 @@ def _polish_residues(finite, exact_values, nu):
     return None
 
 
+_GUARDS = (1e-10, 1e-8, 5e-7)
+
+
+def _plan_runs(sys0: FuchsianSystem, shifts, consts, retries: int):
+    """Yield a fresh run for each order_seed in range(retries) whose move
+    sequence differs from those of the lower seeds."""
+    specs = sys0.specs
+    seen = set()
+    for order_seed in range(retries):
+        moves, stop = _move_sequence(specs, shifts, order_seed)
+        if (moves, stop) in seen:
+            continue
+        seen.add((moves, stop))
+        yield _MoveRun(consts, moves, stop, list(sys0.finite_residues),
+                       [list(spec.eigen_list()) for spec in specs],
+                       np.random.default_rng(order_seed + 1))
+
+
 def translate(sys: FuchsianSystem, mu, retries: int = 8) -> FuchsianSystem:
     """Translate by an integral level-zero weight vector: lam -> lam + mu,
-    realised as a composition of elementary Schlesinger moves.  The first
-    attempt pairs moves in lexicographic slot order; on degeneracy the
-    pairing order is reshuffled and the run retried, and only if every
-    order fails is the degeneracy surfaced.  The final tuple is re-anchored
-    on the exact orbit data (the matrices are floating-point witnesses of
-    the exact bookkeeping), which stops drift from accumulating along
-    iterated orbits."""
+    realised as a composition of elementary Schlesinger moves.
+
+    The moves follow a ladder: drift guards from strict to loose, within
+    each guard the ranked move plans, within each plan the pairing orders
+    (order_seed 0 pairs moves in lexicographic slot order, up to `retries`
+    reshuffled orders follow), and the first run that gets through wins.
+    Each move sequence is built from the exact bookkeeping alone, so an
+    order whose sequence repeats a lower one of the same plan is skipped,
+    and a run that a guard stopped resumes where it stopped under the next
+    looser guard instead of starting over; runs that failed in a way no
+    guard lifts are not tried again.  The result is that of running every
+    rung from scratch.  The final tuple is re-anchored on the exact orbit
+    data (the matrices are floating-point witnesses of the exact
+    bookkeeping), which stops drift from accumulating along iterated
+    orbits.  If every rung fails, the DegeneracyError names the number of
+    distinct move sequences run, the last plan and guard, and the last
+    error."""
     g = sys.graph
     mu = mu if isinstance(mu, ParamVector) else ParamVector(tuple(mu))
     if not weight_lattice_member(g, mu):
         raise ValueError("mu must be integral and level zero")
     sys0 = normalize(sys, "det_zero")
     lam_new, plans = _plan_moves(sys0, mu)
+    runs = [[] for _ in plans]
     failure = None
     # prefer strict move sequences; fall back to alternative plans, then to
     # looser guards (with the re-anchoring absorbing the drift) only when
     # every clean order fails
-    for guard in (1e-10, 1e-8, 5e-7):
-        for shifts, consts in plans:
+    for guard in _GUARDS:
+        for plan_runs, (shifts, consts) in zip(runs, plans):
             offsets = tuple(Fraction(c) for c in consts)
             target_values = [s.eigen_list()
                              for s in predicted_specs(g, lam_new, offsets)]
-            for order_seed in range(retries):
+            # the runs of a plan are built during the first guard's pass
+            first = guard == _GUARDS[0]
+            for run in (_plan_runs(sys0, shifts, consts, retries) if first
+                        else plan_runs):
+                if first:
+                    plan_runs.append(run)
+                if run.failure is not None:
+                    failure = run.failure
+                    continue
                 try:
-                    finite = _run_moves(sys0, shifts, order_seed, guard)
+                    finite = _run_moves(sys0, run, guard)
+                except DegeneracyError as exc:
+                    failure = exc
+                    continue
+                try:
                     polished = _polish_residues(finite, target_values, sys0.nu)
                     if polished is not None:
                         finite = polished
@@ -787,9 +867,12 @@ def translate(sys: FuchsianSystem, mu, retries: int = 8) -> FuchsianSystem:
                     out.verify()
                     return normalize(out, "det_zero")
                 except DegeneracyError as exc:
-                    failure = exc
-    raise DegeneracyError(f"translation failed for every move order "
-                          f"(last: {failure})")
+                    run.failure = failure = exc
+    ran = sum(len(plan_runs) for plan_runs in runs)
+    raise DegeneracyError(
+        f"translation failed for every move order ({ran} distinct move "
+        f"sequences; last plan constants {consts} at guard {guard:.0e}; "
+        f"last: {failure})")
 
 
 def dp_orbit(sys: FuchsianSystem, mu, steps: int, sig_len: int = 3):

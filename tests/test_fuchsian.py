@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starweyl.dynkin import AFFINE_TYPES, StarGraph, is_regular
 from starweyl.errors import DegeneracyError
@@ -182,3 +184,104 @@ def test_regular_implies_irreducible_statistics():
         if not is_irreducible(sysm):
             failures.append(seed)
     assert not failures, f"counterexample candidates: {failures}"
+
+
+# ---------------------------------------------------------------------------
+# the batched Gauss-Newton fit against a per-matrix reference
+
+
+def _reference_gauss_newton(gs, diags, target, tol, max_iters):
+    """The trust-region Gauss-Newton fit one matrix at a time, with the
+    Jacobian assembled from np.kron blocks."""
+    from starweyl.fuchsian import _fit_scale
+    n = target.shape[0]
+    eye = np.eye(n)
+    k = len(diags)
+    scale = _fit_scale(target, diags)
+
+    def normalize_cols(g):
+        norms = np.linalg.norm(g, axis=0)
+        return g / np.where(norms > 0, norms, 1.0)
+
+    def assemble(gs):
+        mats = [g @ d @ np.linalg.inv(g) for g, d in zip(gs, diags)]
+        return mats, sum(mats) - target
+
+    gs = [normalize_cols(g) for g in gs]
+    mats, f = assemble(gs)
+    res = float(np.linalg.norm(f))
+    radius = 0.5
+    for _ in range(max_iters):
+        if res < tol * scale:
+            break
+        jac = np.hstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
+        x, *_ = np.linalg.lstsq(jac, -f.ravel(), rcond=None)
+        nx = float(np.linalg.norm(x))
+        if nx > radius:
+            x = x * (radius / nx)
+        xs = x.reshape(k, n, n)
+        step = 1.0
+        accepted = False
+        for _ in range(10):
+            cand = [normalize_cols((eye + step * xk) @ g) for xk, g in zip(xs, gs)]
+            try:
+                mats_c, f_c = assemble(cand)
+            except np.linalg.LinAlgError:
+                step /= 2
+                continue
+            res_c = float(np.linalg.norm(f_c))
+            if res_c < res * (1 - 1e-4 * step):
+                gs, mats, f, res = cand, mats_c, f_c, res_c
+                accepted = True
+                break
+            step /= 2
+        if accepted and step == 1.0:
+            radius = min(radius * 1.6, 20.0)
+        elif accepted:
+            radius = max(radius * step, 1e-6)
+        else:
+            radius /= 3
+            if radius < 1e-6:
+                break
+    return gs, mats, res
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 6))
+def test_batched_gauss_newton_matches_per_matrix(n):
+    from starweyl.fuchsian import _tr_gauss_newton
+    for seed in range(6):
+        rng = np.random.default_rng([n, seed])
+        k = 3 + seed % 2
+        diags = [np.diag(_complex_normal(rng, n)) for _ in range(k)]
+        exact = [np.eye(n) + 0.3 * _complex_normal(rng, (n, n)) for _ in range(k)]
+        target = sum(g @ d @ np.linalg.inv(g) for g, d in zip(exact, diags))
+        starts = [np.eye(n) + 0.5 * _complex_normal(rng, (n, n)) for _ in range(k)]
+        got = _tr_gauss_newton(starts, diags, target, 2e-11, 60)
+        want = _reference_gauss_newton(starts, diags, target, 2e-11, 60)
+        assert isinstance(got[0], list) and isinstance(got[1], list)
+        assert got[2] == want[2]
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.array_equal(a, b)
+
+
+_ENTRY = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                            allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_ENTRY, min_size=n * n, max_size=n * n),
+                       min_size=1, max_size=4)))
+def test_commutator_jacobian_equals_kron_blocks(flat):
+    from starweyl.fuchsian import _commutator_jacobian
+    n = round(len(flat[0]) ** 0.5)
+    mats = np.array(flat, dtype=complex).reshape(len(flat), n, n)
+    eye = np.eye(n)
+    want = np.hstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
+    got = _commutator_jacobian(mats)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -302,3 +303,158 @@ def test_operations_preserve_scalar_sum_and_irreducibility(name):
         scale = sum(np.linalg.norm(a) for a in out.residues)
         assert np.linalg.norm(total) < 1e-10 * max(1.0, scale)
         assert is_irreducible(out)
+
+
+# ---------------------------------------------------------------------------
+# the translate ladder against a reference that runs every rung from scratch
+
+
+def _reference_run(sys0, shifts, order_seed, guard):
+    """One rung of the ladder from scratch: pair the pending moves as the
+    bookkeeping dictates and execute each one as soon as it is chosen."""
+    from starweyl.weylops import _multiset_poly_error, _polish_residues, _unit_move
+    specs = sys0.specs
+    values, targets = [], []
+    for p in range(sys0.m):
+        vals, tgts = [], []
+        for (v, m), d in zip(specs[p].entries, shifts[p]):
+            vals.extend([v] * m)
+            tgts.extend([v + d] * m)
+        values.append(vals)
+        targets.append(tgts)
+    rng = np.random.default_rng(order_seed + 1)
+    shuffler = np.random.default_rng(order_seed) if order_seed else None
+    finite = list(sys0.finite_residues)
+    inf = sys0.m - 1
+    nu_eye = complex(sys0.nu) * np.eye(sys0.n)
+    while True:
+        ups = [(p, c) for p in range(sys0.m)
+               for c, (v, t) in enumerate(zip(values[p], targets[p])) if t > v]
+        downs = [(p, c) for p in range(sys0.m)
+                 for c, (v, t) in enumerate(zip(values[p], targets[p])) if t < v]
+        if shuffler is not None:
+            shuffler.shuffle(ups)
+            shuffler.shuffle(downs)
+        if not ups and not downs:
+            return finite
+        assert ups and downs
+        pair = next(((u, d) for u in ups for d in downs if u[0] != d[0]), None)
+        if pair is not None:
+            (pu, cu), (pd, cd) = pair
+        else:
+            # park one exponent of an auxiliary pole one step down
+            (pu, cu) = ups[0]
+            pd = next(p for p in range(sys0.m) if p != pu)
+            cd = next(c for c, v in enumerate(values[pd])
+                      if v - 1 not in set(values[pd]))
+        finite = _unit_move(finite, sys0.poles, sys0.nu, pu, values[pu][cu],
+                            pd, values[pd][cd], sys0.tol, rng)
+        values[pu][cu] += 1
+        values[pd][cd] -= 1
+
+        def drift(fin):
+            a_m = nu_eye - sum(fin)
+            return max(_multiset_poly_error(a_m if p == inf else fin[p], values[p])
+                       for p in range(sys0.m))
+
+        err = drift(finite)
+        if err > 1e-9:
+            polished = _polish_residues(finite, values, sys0.nu)
+            if polished is not None:
+                finite = polished
+                err = drift(finite)
+        if err > guard:
+            raise DegeneracyError(f"intermediate orbit drift {err:.2e}")
+
+
+def _reference_translate(sys, mu, retries=8):
+    from starweyl.fuchsian import FuchsianSystem, predicted_specs
+    from starweyl.weylops import _plan_moves, _polish_residues
+    sys0 = normalize(sys, "det_zero")
+    lam_new, plans = _plan_moves(sys0, mu)
+    for guard in (1e-10, 1e-8, 5e-7):
+        for shifts, consts in plans:
+            offsets = tuple(F(c) for c in consts)
+            target_values = [s.eigen_list() for s in
+                             predicted_specs(sys0.graph, lam_new, offsets)]
+            for order_seed in range(retries):
+                try:
+                    finite = _reference_run(sys0, shifts, order_seed, guard)
+                    polished = _polish_residues(finite, target_values, sys0.nu)
+                    if polished is not None:
+                        finite = polished
+                    out = FuchsianSystem(
+                        sys0.graph, sys0.poles,
+                        tuple(finite) + (complex(sys0.nu) * np.eye(sys0.n)
+                                         - sum(finite),),
+                        lam_new, offsets, sys0.nu, sys0.tol)
+                    out.verify()
+                    return normalize(out, "det_zero")
+                except DegeneracyError:
+                    pass
+    raise DegeneracyError("reference ladder failed")
+
+
+# D4 23/0 first needs the looser guards at step 7, and again at 12 and 13
+@pytest.mark.parametrize("name, seed, vector, steps",
+                         [("D4", 23, 0, 13), ("E6", 23, 3, 3)])
+def test_translate_matches_from_scratch_ladder(name, seed, vector, steps):
+    sysm, _ = sample_system(name, seed)
+    mu = light_translation_basis(sysm.graph)[vector]
+    cur = ref = replace(sysm, tol=max(sysm.tol, 1e-8))
+    for _ in range(steps):
+        cur = translate(cur, mu)
+        ref = _reference_translate(ref, mu)
+        assert cur.lam.values == ref.lam.values
+        assert cur.offsets == ref.offsets
+        for a, b in zip(cur.residues, ref.residues):
+            assert np.array_equal(a, b)
+
+
+def test_translate_runs_each_sequence_once(monkeypatch):
+    from starweyl import weylops
+    run_moves = weylops._run_moves
+    starts, last_guard = set(), {}
+    resumed = 0
+
+    def spy(sys0, run, guard):
+        nonlocal resumed
+        if id(run) in last_guard:
+            # a stopped run only ever resumes, under a looser guard
+            assert guard > last_guard[id(run)]
+            resumed += 1
+        else:
+            key = (run.consts, run.moves, run.stop)
+            assert run.done == 0 and key not in starts, "a move sequence ran twice"
+            starts.add(key)
+        last_guard[id(run)] = guard
+        return run_moves(sys0, run, guard)
+
+    monkeypatch.setattr(weylops, "_run_moves", spy)
+    sysm, _ = sample_system("D4", 23)
+    mu = light_translation_basis(sysm.graph)[0]
+    cur = replace(sysm, tol=max(sysm.tol, 1e-8))
+    for _ in range(13):
+        starts.clear()
+        last_guard.clear()
+        cur = translate(cur, mu)
+    assert cur.lam.values == (sysm.lam + mu.scale(13)).values
+    assert resumed > 0  # this orbit needs the looser guards
+
+
+def test_translate_failure_names_the_ladder(monkeypatch):
+    from starweyl import weylops
+
+    def wall(*args):
+        raise DegeneracyError("eigenvector pairing is degenerate (w.v = 0)")
+
+    monkeypatch.setattr(weylops, "_unit_move", wall)
+    sysm, _ = sample_system("E6", 23)
+    mu = light_translation_basis(sysm.graph)[3]
+    with pytest.raises(DegeneracyError) as info:
+        translate(sysm, mu)
+    msg = str(info.value)
+    assert "distinct move sequences" in msg
+    assert "at guard 5e-07" in msg
+    assert "last plan constants (" in msg
+    assert msg.endswith("last: eigenvector pairing is degenerate (w.v = 0))")
