@@ -106,7 +106,11 @@ def cmd_sample(args) -> int:
 def cmd_apply(args) -> int:
     sysm = serialize.system_in(_read_json(args.system))
     tags = serialize.word_in(_read_json(args.word))
-    out = apply_word(sysm, WeylWord(tags))
+    try:
+        out = apply_word(sysm, WeylWord(tags))
+    except ValueError as exc:
+        # a generator the system cannot take (node, permutation, shift count)
+        raise InputFormatError(f"invalid word: {exc}")
     doc = serialize.system_out(out)
     doc["applied_word"] = serialize.word_out(tags)["tags"]
     sig = signature(out, 4)

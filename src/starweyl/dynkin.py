@@ -19,6 +19,7 @@ Both are implemented exactly (Fraction / GaussianRational entries).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,6 +30,7 @@ from .ratlin import (
     mat,
     nullspace,
     smith_diagonal,
+    to_complex,
 )
 
 AFFINE_LEGS = {
@@ -138,11 +140,11 @@ class StarGraph:
         v = ker[0]
         denom = 1
         for x in v:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = denom * x.denominator // math.gcd(denom, x.denominator)
         ints = [int(x * denom) for x in v]
         g = 0
         for x in ints:
-            g = _gcd(g, abs(x))
+            g = math.gcd(g, abs(x))
         ints = [x // g for x in ints]
         if ints[self.extending] < 0:
             ints = [-x for x in ints]
@@ -157,12 +159,6 @@ class StarGraph:
     def __repr__(self):
         t = self.affine_type
         return f"StarGraph{self.legs}" + (f"<affine {t}>" if t else "")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else abs(b)
 
 
 @dataclass(frozen=True)
@@ -320,11 +316,6 @@ def root_form(g: StarGraph, beta: RootVector, gamma: RootVector) -> int:
                for i in range(g.node_count) for j in range(g.node_count))
 
 
-def alpha_vector(g: StarGraph, i: int) -> ParamVector:
-    """alpha_i = sum_j (e_i, e_j) e_j as an element of C^I (lies in h)."""
-    return ParamVector(tuple(Fraction(x) for x in g.cartan.row(i)))
-
-
 def reflect_param(g: StarGraph, i: int, lam: ParamVector) -> ParamVector:
     """r_i(lam) = lam - lam_i * alpha_i."""
     li = lam[i]
@@ -378,11 +369,6 @@ def enumerate_roots(type_or_graph) -> tuple[RootVector, ...]:
     return tuple(RootVector(v) for v in roots)
 
 
-def positive_roots(type_or_graph) -> tuple[RootVector, ...]:
-    return tuple(r for r in enumerate_roots(type_or_graph)
-                 if all(x >= 0 for x in r.coords))
-
-
 def root_norm(g: StarGraph, root: RootVector) -> int:
     """((root, root)) in the finite form; equals 2 for every root."""
     c = finite_cartan(g)
@@ -396,6 +382,13 @@ def root_pairing(root: RootVector, lam: ParamVector):
     Valid for level-zero lam, where ((lam, alpha_i)) = lam_i.
     """
     return sum((c * lam[i] for i, c in enumerate(root.coords)), Fraction(0))
+
+
+def smallest_root_pairing(g: StarGraph, lam: ParamVector) -> float:
+    """min |((lam, root))| over the finite roots: how far lam sits from the
+    nearest root hyperplane (0 on a wall)."""
+    return min(abs(to_complex(root_pairing(r, lam)))
+               for r in enumerate_roots(g))
 
 
 def is_regular(g: StarGraph, lam: ParamVector):

@@ -36,7 +36,10 @@ def _scalar_out(x):
 
 def _scalar_in(x):
     if isinstance(x, str):
-        return parse_rational(x)
+        try:
+            return parse_rational(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputFormatError(f"cannot parse rational {x!r}: {exc}")
     if isinstance(x, (list, tuple)) and len(x) == 2:
         return complex(float(x[0]), float(x[1]))
     if isinstance(x, (int, float)):
@@ -109,11 +112,11 @@ def config_in(doc) -> PointConfig:
         raise InputFormatError(f"expected a {CONFIG_SCHEMA} document")
     try:
         vals = tuple(parse_rational(s) for s in doc["points"])
-    except (KeyError, TypeError, ValueError) as exc:
+        if any(isinstance(v, GaussianRational) for v in vals):
+            raise InputFormatError("point configurations are rational tuples")
+        return PointConfig(vals)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"malformed configuration: {exc}")
-    if any(isinstance(v, GaussianRational) for v in vals):
-        raise InputFormatError("point configurations are rational tuples")
-    return PointConfig(vals)
 
 
 def rep_out(rep: QuiverRep) -> dict:
@@ -184,18 +187,23 @@ def word_out(tags) -> dict:
 def word_in(doc):
     if not isinstance(doc, dict) or doc.get("schema") != WORD_SCHEMA:
         raise InputFormatError(f"expected a {WORD_SCHEMA} document")
+    if not isinstance(doc.get("tags", []), list):
+        raise InputFormatError("a word's tags must be a list")
     tags = []
     for tag in doc.get("tags", []):
-        kind = tag[0]
-        if kind == "leg":
-            tags.append(("leg", int(tag[1])))
-        elif kind == "central":
-            tags.append(("central",))
-        elif kind in ("tensor", "relabel", "translate"):
-            tags.append((kind, tuple(_scalar_in(x) if isinstance(x, str)
-                                     else int(x) for x in tag[1])))
-        else:
-            raise InputFormatError(f"unknown word tag {kind!r}")
+        try:
+            kind = tag[0]
+            if kind == "leg":
+                tags.append(("leg", int(tag[1])))
+            elif kind == "central":
+                tags.append(("central",))
+            elif kind in ("tensor", "relabel", "translate"):
+                tags.append((kind, tuple(_scalar_in(x) if isinstance(x, str)
+                                         else int(x) for x in tag[1])))
+            else:
+                raise InputFormatError(f"unknown word tag {kind!r}")
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"malformed word tag {tag!r}: {exc}")
     return tuple(tags)
 
 

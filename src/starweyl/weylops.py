@@ -19,6 +19,7 @@ repairing it.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -26,7 +27,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlin
-from .dynkin import ParamVector, StarGraph, reflect_param, weight_lattice_member
+from .dynkin import (
+    ParamVector,
+    StarGraph,
+    reflect_param,
+    smallest_root_pairing,
+    weight_lattice_member,
+)
 from .errors import DegeneracyError
 from .fuchsian import (
     FuchsianSystem,
@@ -505,39 +512,54 @@ def schlesinger_step(sys: FuchsianSystem, pole_i: int, slot_k: int,
     return out
 
 
+def _pole_tables(t_shifts, mults, bound: int):
+    """Up and down move counts of one pole for every per-pole constant c in
+    [-bound, bound]: U[..., c + bound] = sum_j mults_j max(t_j + c, 0) and
+    D[..., c + bound] = sum_j mults_j max(-(t_j + c), 0).  The slots run
+    along the last axis of t_shifts; leading axes (candidate vectors) are
+    kept, and one slot is added at a time to keep the temporaries small."""
+    t_shifts = np.asarray(t_shifts, dtype=np.int64)
+    cs = np.arange(-bound, bound + 1)
+    up = dn = np.zeros(t_shifts.shape[:-1] + cs.shape, dtype=np.int64)
+    for j, mult in enumerate(mults):
+        x = t_shifts[..., j, None] + cs
+        up = up + mult * np.maximum(x, 0)
+        dn = dn + mult * np.maximum(-x, 0)
+    return up, dn
+
+
 def _offset_candidates(t_shifts, mults, mu_c: int, keep: int = 3):
     """Ranked choices of per-pole constants c_p with sum -mu_c (the
     tensoring freedom), minimising first the number of same-pole up/down
     pairings that would need rerouting, then the total number of
     elementary moves.  Distinct plans dodge distinct walls, so callers may
-    retry down the list.  Returns [(cost, constants), ...]."""
+    retry down the list.  Returns [(cost, constants), ...].
+
+    The cost of constants cs depends on pole p only through c_p, so each
+    pole's up count U_p[c] and down count D_p[c] are tabulated once (see
+    _pole_tables); a candidate then costs m lookups: half = sum U_p[c_p]
+    elementary moves, of which forced = max(max_p(U_p + D_p)[c_p] - half, 0)
+    pair up and down slots of one pole.  Ties go to the smaller constants."""
     m = len(t_shifts)
     bound = max(abs(mu_c), max((abs(x) for row in t_shifts for x in row),
                                default=0)) + 1
+    ups, both = [], []
+    for row, mrow in zip(t_shifts, mults):
+        up, dn = _pole_tables(row, mrow, bound)
+        ups.append(up.tolist())
+        both.append((up + dn).tolist())
 
-    def cost(cs):
-        per_up, per_dn = [], []
-        for p in range(m):
-            u = sum(mm * max(t + cs[p], 0)
-                    for t, mm in zip(t_shifts[p], mults[p]))
-            d = sum(mm * max(-(t + cs[p]), 0)
-                    for t, mm in zip(t_shifts[p], mults[p]))
-            per_up.append(u)
-            per_dn.append(d)
-        half = sum(per_up)
-        forced = max((per_up[p] + per_dn[p] - half for p in range(m)),
-                     default=0)
-        return (max(forced, 0), half)
+    def scored():
+        for head in itertools.product(range(-bound, bound + 1), repeat=m - 1):
+            last = -mu_c - sum(head)
+            if abs(last) > bound:
+                continue
+            cs = head + (last,)
+            half = sum(ups[p][c + bound] for p, c in enumerate(cs))
+            forced = max(both[p][c + bound] for p, c in enumerate(cs)) - half
+            yield (max(forced, 0), half), cs
 
-    scored = []
-    for head in itertools.product(range(-bound, bound + 1), repeat=m - 1):
-        last = -mu_c - sum(head)
-        if abs(last) > bound:
-            continue
-        cs = tuple(head) + (last,)
-        scored.append((cost(cs), cs))
-    scored.sort()
-    return scored[:keep]
+    return heapq.nsmallest(keep, scored())
 
 
 @functools.lru_cache(maxsize=64)
@@ -572,25 +594,68 @@ def _move_profile(g: StarGraph, coords):
     return mu_c, t_shifts, mults
 
 
+def _min_offset_costs(g: StarGraph, coords) -> list:
+    """The best cost _offset_candidates(*_move_profile(g, c))[0][0] of every
+    coordinate vector c in coords, scored all at once.
+
+    The profile is linear in the coordinates (the multiplicities do not
+    depend on them), so the slot shifts of all N vectors come from one
+    integer matrix product.  Each pole gets (N, 2B + 1) tables with B the
+    largest per-vector bound; one pass over the (2B + 1)^(m - 1) heads keeps
+    a running minimum of forced * K + half over the N vectors, masking the
+    constants outside each vector's own bound."""
+    coords = np.asarray(coords, dtype=np.int64)
+    units = [_move_profile(g, e)
+             for e in np.eye(coords.shape[1], dtype=int).tolist()]
+    mults = units[0][2]
+    mu_c = coords @ np.array([u[0] for u in units])
+    shifts = [coords @ np.array([u[1][p] for u in units])
+              for p in range(len(mults))]
+    bound = np.maximum(np.abs(mu_c), np.abs(np.hstack(shifts)).max(axis=1)) + 1
+    big = int(bound.max())
+    ups, both = [], []
+    for t, mrow in zip(shifts, mults):
+        up, dn = _pole_tables(t, mrow, big)
+        ups.append(up)
+        both.append(up + dn)
+    scale = sum(int(up.max()) for up in ups) + 1  # exceeds every half
+    rows = np.arange(len(coords))
+    best = np.full(len(coords), np.iinfo(np.int64).max)
+    for head in itertools.product(range(-big, big + 1), repeat=len(mults) - 1):
+        last = -mu_c - sum(head)
+        ok = (np.abs(last) <= bound) & (max(map(abs, head), default=0) <= bound)
+        col = np.clip(last, -big, big) + big
+        half, worst = ups[-1][rows, col], both[-1][rows, col]
+        for up, tot, c in zip(ups, both, head):
+            half = half + up[:, c + big]
+            worst = np.maximum(worst, tot[:, c + big])
+        key = np.maximum(worst - half, 0) * scale + half
+        np.minimum(best, np.where(ok, key, best), out=best)
+    return [(int(k // scale), int(k % scale)) for k in best]
+
+
 @functools.cache
 def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
     """A Z-basis of the weight lattice P(R) chosen to minimise the number
     of elementary Schlesinger moves per vector (the standard basis
-    e_i - delta_i e_ext contains needlessly heavy directions)."""
+    e_i - delta_i e_ext contains needlessly heavy directions).
+
+    Every vector with coordinates in {-1, 0, 1} and a small extending
+    component is scored by the best plan _offset_candidates would give it,
+    all vectors at once from per-pole tables (_min_offset_costs); the
+    lightest vectors, ties broken by coords, are taken greedily while they
+    extend a unimodular set."""
     from .ratlin import smith_diagonal
     r = len(g.finite_nodes)
     delta = g.delta
-    scored = []
-    for coords in itertools.product((-1, 0, 1), repeat=r):
-        if not any(coords):
-            continue
-        ext = -sum(delta[i] * c for i, c in zip(g.finite_nodes, coords))
-        if abs(ext) > 2:
-            continue  # a large extending component is never move-light
-        mu_c, t_shifts, mults = _move_profile(g, coords)
-        cost = _offset_candidates(t_shifts, mults, mu_c, keep=1)[0][0]
-        scored.append((cost, coords))
-    scored.sort()
+
+    def ext(coords):
+        return -sum(delta[i] * c for i, c in zip(g.finite_nodes, coords))
+
+    # a large extending component is never move-light
+    candidates = [coords for coords in itertools.product((-1, 0, 1), repeat=r)
+                  if any(coords) and abs(ext(coords)) <= 2]
+    scored = sorted(zip(_min_offset_costs(g, candidates), candidates))
     chosen: list = []
     for _, coords in scored:
         trial = chosen + [coords]
@@ -600,12 +665,9 @@ def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
             if len(chosen) == r:
                 break
     assert len(chosen) == r, "failed to assemble a unimodular basis"
-    out = []
-    for coords in chosen:
-        ext = -sum(delta[i] * c for i, c in zip(g.finite_nodes, coords))
-        out.append(ParamVector(tuple(Fraction(c) for c in coords)
-                               + (Fraction(ext),)))
-    return tuple(out)
+    return tuple(ParamVector(tuple(Fraction(c) for c in coords)
+                             + (Fraction(ext(coords)),))
+                 for coords in chosen)
 
 
 def _plan_moves(sys: FuchsianSystem, mu: ParamVector, keep: int = 3):
@@ -879,11 +941,20 @@ def dp_orbit(sys: FuchsianSystem, mu, steps: int, sig_len: int = 3):
     """Iterate translate, emitting (k, lam_k, signature_k) rows; row 0 is
     the starting system.  Long orbits may pass close to walls where the
     matrix witnesses honestly lose accuracy, so the per-step orbit checks
-    run at the 1e-8 acceptance tolerance."""
+    run at the 1e-8 acceptance tolerance.  A DegeneracyError names the
+    failing step k and the smallest |root pairing| of its target lam, ahead
+    of translate's own message."""
+    mu = mu if isinstance(mu, ParamVector) else ParamVector(tuple(mu))
     cur = replace(sys, tol=max(sys.tol, 1e-8))
     rows = [(0, cur.lam, signature(cur, sig_len))]
     for k in range(1, steps + 1):
-        cur = translate(cur, mu)
+        try:
+            cur = translate(cur, mu)
+        except DegeneracyError as exc:
+            near = smallest_root_pairing(cur.graph, cur.lam + mu)
+            raise DegeneracyError(
+                f"orbit step {k} failed (target lam's smallest |root pairing| "
+                f"{near:.3g}): {exc}") from exc
         rows.append((k, cur.lam, signature(cur, sig_len)))
     return rows
 

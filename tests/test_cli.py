@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from starweyl import serialize
-from starweyl.fuchsian import signature
+from starweyl.fuchsian import sample_system, signature
 
 
 def run_cli(*args):
@@ -121,3 +121,53 @@ def test_orbit_bad_mu_is_input_error(tmp_path):
                   "--steps", "2")
     assert out.returncode == 2
     assert "level zero" in out.stderr
+
+
+def _word(*tags):
+    return {"schema": serialize.WORD_SCHEMA, "tags": list(tags)}
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("word", _word(["leg"])),
+    ("word", _word(["leg", 0])),
+    ("word", _word(["leg", 99])),
+    ("word", {"schema": serialize.WORD_SCHEMA, "tags": 5}),
+    ("config", {"schema": serialize.CONFIG_SCHEMA, "points": ["1/2", "1/3"]}),
+    ("lam", {"schema": serialize.LAM_SCHEMA,
+             "values": ["1/0", "0", "0", "0", "0"]}),
+], ids=["leg-without-node", "leg-center", "leg-out-of-range", "tags-not-a-list",
+        "two-point-config", "lam-zero-denominator"])
+def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    if kind == "word":
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(serialize.dumps(
+            serialize.system_out(sample_system("D4", 2)[0])))
+        out = run_cli("apply", "--system", str(sysfile), "--word", str(path))
+    elif kind == "config":
+        out = run_cli("sakai", "--config", str(path), "--mu", "[1,0]")
+    else:
+        out = run_cli("regular", "--type", "D4", "--lam-file", str(path))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("input error: ")
+    assert len(out.stderr.splitlines()) == 1 and out.stdout == ""
+
+
+def test_orbit_failure_exits_3_naming_the_step(tmp_path, monkeypatch, capsys):
+    from starweyl import cli, weylops
+    from starweyl.errors import DegeneracyError
+
+    def wall(*args):
+        raise DegeneracyError("eigenvector pairing is degenerate (w.v = 0)")
+
+    sysfile = tmp_path / "sys.json"
+    sysfile.write_text(serialize.dumps(
+        serialize.system_out(sample_system("E6", 23)[0])))
+    monkeypatch.setattr(weylops, "_unit_move", wall)
+    code = cli.main(["orbit", "--system", str(sysfile), "--mu",
+                     "[-1,0,0,1,0,0]", "--steps", "3"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("degeneracy: orbit step 1 failed (target lam's "
+                              "smallest |root pairing| ")

@@ -1,15 +1,20 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starweyl.dynkin import (
     AFFINE_TYPES,
     ParamVector,
     StarGraph,
+    enumerate_roots,
     reflect_param,
+    root_pairing,
     weight_lattice_member,
 )
 from starweyl.errors import DegeneracyError
@@ -458,3 +463,132 @@ def test_translate_failure_names_the_ladder(monkeypatch):
     assert "at guard 5e-07" in msg
     assert "last plan constants (" in msg
     assert msg.endswith("last: eigenvector pairing is degenerate (w.v = 0))")
+
+
+def test_dp_orbit_failure_names_step_and_pairing(monkeypatch):
+    from starweyl import weylops
+    real_translate = weylops.translate
+    calls = 0
+
+    def wall(*args):
+        raise DegeneracyError("eigenvector pairing is degenerate (w.v = 0)")
+
+    def third_step_hits_wall(sys, mu):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            monkeypatch.setattr(weylops, "_unit_move", wall)
+        return real_translate(sys, mu)
+
+    monkeypatch.setattr(weylops, "translate", third_step_hits_wall)
+    sysm, lam = sample_system("E6", 23)
+    mu = light_translation_basis(sysm.graph)[3]
+    with pytest.raises(DegeneracyError) as info:
+        dp_orbit(sysm, mu, 5)
+    target = lam + mu.scale(3)
+    near = min(abs(complex(root_pairing(r, target)))
+               for r in enumerate_roots(sysm.graph))
+    msg = str(info.value)
+    assert msg.startswith(f"orbit step 3 failed (target lam's smallest "
+                          f"|root pairing| {near:.3g}): translation failed "
+                          f"for every move order (")
+    assert msg.endswith("last: eigenvector pairing is degenerate (w.v = 0))")
+
+
+# ---------------------------------------------------------------------------
+# the light translation basis and its offset scorer
+
+
+def _reference_offset_candidates(t_shifts, mults, mu_c, keep=3):
+    """Brute-force ranking: re-sums every pole's up and down counts for
+    each choice of constants."""
+    m = len(t_shifts)
+    bound = max(abs(mu_c), max((abs(x) for row in t_shifts for x in row),
+                               default=0)) + 1
+
+    def cost(cs):
+        per_up, per_dn = [], []
+        for p in range(m):
+            u = sum(mm * max(t + cs[p], 0)
+                    for t, mm in zip(t_shifts[p], mults[p]))
+            d = sum(mm * max(-(t + cs[p]), 0)
+                    for t, mm in zip(t_shifts[p], mults[p]))
+            per_up.append(u)
+            per_dn.append(d)
+        half = sum(per_up)
+        forced = max((per_up[p] + per_dn[p] - half for p in range(m)),
+                     default=0)
+        return (max(forced, 0), half)
+
+    scored = []
+    for head in itertools.product(range(-bound, bound + 1), repeat=m - 1):
+        last = -mu_c - sum(head)
+        if abs(last) > bound:
+            continue
+        cs = tuple(head) + (last,)
+        scored.append((cost(cs), cs))
+    scored.sort()
+    return scored[:keep]
+
+
+def _basis_candidates(g):
+    return [c for c in itertools.product((-1, 0, 1), repeat=len(g.finite_nodes))
+            if any(c) and abs(sum(g.delta[i] * x
+                                  for i, x in zip(g.finite_nodes, c))) <= 2]
+
+
+LIGHT_BASES = {
+    "D4": [(-1, 0, 0, 1), (-1, 0, 1, 0), (-1, 0, 1, 1), (-1, 1, 0, 0)],
+    "E6": [(-1, 0, 0, 0, 1, 1), (-1, 0, 0, 1, -1, 1), (-1, 0, 0, 1, 0, 0),
+           (-1, 0, 0, 1, 0, 1), (-1, 0, 1, 0, 0, 1), (-1, 1, -1, 0, 0, 1)],
+    "E7": [(-1, 0, 0, 0, 1, 1, 0), (-1, 0, 0, 1, -1, 1, 0),
+           (-1, 0, 1, -1, 0, 1, 0), (-1, 0, 1, 0, 0, 0, 0),
+           (-1, 0, 1, 0, 0, 0, 1), (0, 0, -1, 0, 0, 1, 0),
+           (-1, -1, 1, 0, 0, 1, 0)],
+    "E8": [(-1, 0, 0, 1, 0, 1, 0, 0), (-1, 0, 0, 1, 1, -1, 1, 0),
+           (-1, 0, 0, 1, 1, 0, -1, 1), (-1, 0, 0, 1, 1, 0, 0, -1),
+           (-1, 0, 0, 1, 1, 0, 0, 0), (-1, 0, 1, -1, 0, 1, 0, 0),
+           (-1, 0, 1, 0, 0, 0, 0, 0), (-1, -1, 0, 0, 1, 1, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("name", AFFINE_TYPES)
+def test_light_translation_basis_is_pinned(name):
+    g = StarGraph.affine(name)
+    basis = light_translation_basis(g)
+    assert [tuple(int(x) for x in v.values[:-1]) for v in basis] == LIGHT_BASES[name]
+    for v in basis:
+        assert weight_lattice_member(g, v)
+
+
+@st.composite
+def _profiles(draw):
+    m = draw(st.sampled_from((3, 4)))
+    t_shifts = draw(st.lists(st.lists(st.integers(-5, 5), min_size=1,
+                                      max_size=4), min_size=m, max_size=m))
+    mults = [draw(st.lists(st.integers(1, 3), min_size=len(row),
+                           max_size=len(row))) for row in t_shifts]
+    return t_shifts, mults, draw(st.integers(-5, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_profiles(), st.sampled_from((1, 3)))
+def test_offset_candidates_match_brute_force(profile, keep):
+    from starweyl.weylops import _offset_candidates
+    t_shifts, mults, mu_c = profile
+    got = _offset_candidates(t_shifts, mults, mu_c, keep)
+    assert got == _reference_offset_candidates(t_shifts, mults, mu_c, keep)
+    assert all(type(x) is int for cost, cs in got for x in cost + cs)
+
+
+@pytest.mark.parametrize("name", AFFINE_TYPES)
+def test_batched_min_costs_match_brute_force(name):
+    from starweyl.weylops import _min_offset_costs, _move_profile
+    g = StarGraph.affine(name)
+    coords = _basis_candidates(g)
+    expected = []
+    for c in coords:
+        mu_c, t_shifts, mults = _move_profile(g, c)
+        expected.append(
+            _reference_offset_candidates(t_shifts, mults, mu_c, keep=1)[0][0])
+    assert _min_offset_costs(g, coords) == expected
