@@ -22,7 +22,7 @@ from .dynkin import (
     weight_lattice_member,
 )
 from .errors import DegeneracyError, InputFormatError, StarweylError
-from .fuchsian import sample_system, signature
+from .fuchsian import DEFAULT_TOL, sample_system, signature
 from .ratlin import format_rational
 from .sakai import sakai_orbit
 from .weylops import apply_word, dp_orbit, WeylWord
@@ -48,10 +48,16 @@ def _read_json(path: str):
         raise InputFormatError(f"cannot read {path}: {exc}")
 
 
-def _parse_mu(text: str, graph: StarGraph) -> ParamVector:
+def _int_list(text: str) -> list:
+    """The --mu value: a JSON list of integers."""
     doc = serialize.loads(text)
     if not isinstance(doc, list) or not all(isinstance(x, int) for x in doc):
         raise InputFormatError("--mu must be a JSON list of integers")
+    return doc
+
+
+def _parse_mu(text: str, graph: StarGraph) -> ParamVector:
+    doc = _int_list(text)
     if len(doc) == graph.node_count - 1:
         # finite coordinates; complete the extending component
         ext = -sum(graph.delta[i] * c for i, c in zip(graph.finite_nodes, doc))
@@ -125,27 +131,13 @@ def cmd_orbit(args) -> int:
     sysm = serialize.system_in(_read_json(args.system))
     mu = _parse_mu(args.mu, sysm.graph)
     rows = dp_orbit(sysm, mu, args.steps, sig_len=args.sig_len)
-    lines = []
-    nsig = len(rows[0][2].values)
-    header = (["step"] + [f"lam_{i}" for i in range(len(rows[0][1]))]
-              + [x for k in range(nsig) for x in (f"sig{k}_re", f"sig{k}_im")])
-    lines.append(",".join(header))
-    for k, lam, sig in rows:
-        cells = [str(k)] + [format_rational(v) for v in lam.values]
-        for v in sig.values:
-            cells.append(repr(v.real))
-            cells.append(repr(v.imag))
-        lines.append(",".join(cells))
-    _write("\n".join(lines) + "\n", args.out)
+    _write(serialize.orbit_csv(rows), args.out)
     return 0
 
 
 def cmd_sakai(args) -> int:
     p = serialize.config_in(_read_json(args.config))
-    doc = serialize.loads(args.mu)
-    if not isinstance(doc, list) or not all(isinstance(x, int) for x in doc):
-        raise InputFormatError("--mu must be a JSON list of integers")
-    rows = sakai_orbit(p, tuple(doc), args.steps)
+    rows = sakai_orbit(p, tuple(_int_list(args.mu)), args.steps)
     lines = [",".join(["step"] + [f"u_{i + 1}" for i in range(p.r)] + ["walls"])]
     for k, cfg, walls in rows:
         flag = ";".join(f"{w[0]}{list(w[1])}".replace(" ", "") for w in walls)
@@ -177,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a random system")
     p.add_argument("--type", required=True, choices=AFFINE_TYPES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 

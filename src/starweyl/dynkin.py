@@ -484,7 +484,7 @@ def apply_affine(g: StarGraph, elt: AffineWeylElement, lam: ParamVector) -> Para
     return out
 
 
-def weyl_orbit(g: StarGraph, lam: ParamVector, nodes=None, limit: int = 10 ** 6):
+def weyl_orbit(g: StarGraph, lam: ParamVector, nodes=None):
     """Orbit of lam under the reflections r_i for i in nodes (exact BFS)."""
     if nodes is None:
         nodes = g.finite_nodes
@@ -498,7 +498,7 @@ def weyl_orbit(g: StarGraph, lam: ParamVector, nodes=None, limit: int = 10 ** 6)
                 if w.values not in seen:
                     seen.add(w.values)
                     nxt.append(w)
-                    if len(seen) > limit:
+                    if len(seen) > 10 ** 6:
                         raise RuntimeError("orbit exceeded limit")
         frontier = nxt
     return seen
@@ -515,16 +515,20 @@ def leg_permutations(g: StarGraph) -> tuple[tuple[int, ...], ...]:
     groups = {}
     for j, l in enumerate(g.legs):
         groups.setdefault(l, []).append(j)
-    perms = []
     pools = [list(itertools.permutations(js)) for js in groups.values()]
-    for combo in itertools.product(*pools):
-        perm = list(range(g.node_count))
-        for js, target in zip(groups.values(), combo):
-            for src, dst in zip(js, target):
-                for a, b in zip(g.leg_nodes(src), g.leg_nodes(dst)):
-                    perm[a] = b
-        perms.append(tuple(perm))
-    return tuple(perms)
+    legs = list(itertools.chain(*groups.values()))
+    return tuple(leg_node_permutation(g, zip(legs, itertools.chain(*combo)))
+                 for combo in itertools.product(*pools))
+
+
+def leg_node_permutation(g: StarGraph, leg_pairs) -> tuple[int, ...]:
+    """Node permutation moving each node of leg src to the same position on
+    leg dst, for the (src, dst) leg pairs given; other nodes stay."""
+    perm = list(range(g.node_count))
+    for src, dst in leg_pairs:
+        for a, b in zip(g.leg_nodes(src), g.leg_nodes(dst)):
+            perm[a] = b
+    return tuple(perm)
 
 
 def permute_param(lam: ParamVector, perm: tuple[int, ...]) -> ParamVector:

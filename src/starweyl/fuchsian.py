@@ -14,6 +14,7 @@ verifies them against it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import zlib
@@ -26,7 +27,22 @@ from . import ratlin
 from .dynkin import ParamVector, StarGraph
 from .errors import DegenerateSampleError, DegeneracyError
 
-DEFAULT_TOL = 1e-9
+# Tolerances, one name per decision (weylops, serialize and cli import them);
+# relative ones multiply the scale their check names.
+DEFAULT_TOL = 1e-9      # verify(): worst char-poly distance a witness may show
+ORBIT_TOL = 1e-8        # floor for orbits, whose witnesses lose digits near walls
+SUM_TOL = 1e-10         # residues sum to nu * Id (share of their total norm)
+ZERO_CUTOFF = 1e-6      # eigen/singular values below this share of the largest are 0
+PAIRING_FLOOR = 1e-8    # smallest overlap |w.v| of a Schlesinger projector
+GAUGE_TOL = 1e-8        # gauge check at test points (share of the residues' norm)
+POLISH_TRIGGER = 1e-9   # drift after a Schlesinger move that forces re-anchoring
+POLISH_GOAL = 2e-13     # re-anchoring Gauss-Newton target residual (fit scale)
+POLISH_ACCEPT = 1e-11   # re-anchoring residual accepted as success (fit scale)
+DRIFT_GUARDS = (1e-10, 1e-8, 5e-7)  # translate's drift guards, strict first
+FIT_TOL = 2e-11         # sampler fit residual (fit scale)
+SPAN_TOL = 1e-9         # a word extends the generated algebra (relative norm)
+ROOT_MARGIN = 0.05      # sampled lam: every root pairing this far from zero
+INTEGER_MARGIN = 0.02   # sampled lam: eigenvalue differences this far from integers
 
 # finite pole positions, one per leg except the last (which sits at infinity)
 DEFAULT_POLES = {3: (0.0, 1.0), 4: (0.0, -1.0, 1.0)}
@@ -42,7 +58,6 @@ class OrbitSpec:
 
     size: int
     entries: tuple
-    semisimple: bool = True
 
     def __post_init__(self):
         ent = tuple((v if ratlin.is_exact(v) else Fraction(v), int(m))
@@ -83,20 +98,8 @@ class OrbitSpec:
     def trace(self):
         return sum((v * m for v, m in self.entries), Fraction(0))
 
-    def char_poly(self):
-        return ratlin.poly_from_roots(self.entries)
-
-    def char_poly_complex(self) -> np.ndarray:
-        return np.array([ratlin.to_complex(c) for c in self.char_poly()])
-
     def shifted(self, c) -> "OrbitSpec":
-        return OrbitSpec(self.size, tuple((v + c, m) for v, m in self.entries),
-                         self.semisimple)
-
-    def generic_rank(self) -> int:
-        """Rank of a generic element (size minus the multiplicity of 0)."""
-        z = sum(m for v, m in self.entries if v == 0)
-        return self.size - z
+        return OrbitSpec(self.size, tuple((v + c, m) for v, m in self.entries))
 
 
 def orbit_from_leg(n: int, leg_dims, leg_params, first=Fraction(0)) -> OrbitSpec:
@@ -130,13 +133,8 @@ def orbit_from_leg(n: int, leg_dims, leg_params, first=Fraction(0)) -> OrbitSpec
 def leg_from_orbit(spec: OrbitSpec) -> tuple[int, ...]:
     """Leg dimensions n_j = rank (A - xi_1)...(A - xi_j), inverse to
     orbit_from_leg on generic specs."""
-    n = spec.size
-    dims = []
-    acc = 0
-    for _, m in spec.entries[:-1]:
-        acc += m
-        dims.append(n - acc)
-    return tuple(dims)
+    return tuple(spec.size - acc for acc in
+                 itertools.accumulate(m for _, m in spec.entries[:-1]))
 
 
 def predicted_specs(g: StarGraph, lam: ParamVector, offsets=None) -> tuple[OrbitSpec, ...]:
@@ -146,20 +144,33 @@ def predicted_specs(g: StarGraph, lam: ParamVector, offsets=None) -> tuple[Orbit
     n = delta[g.center]
     if offsets is None:
         offsets = (Fraction(0),) * g.num_legs
-    out = []
-    for j in range(g.num_legs):
-        nodes = g.leg_nodes(j)
-        out.append(orbit_from_leg(n, [delta[k] for k in nodes],
-                                  [lam[k] for k in nodes], offsets[j]))
-    return tuple(out)
+    return tuple(orbit_from_leg(n, [delta[k] for k in g.leg_nodes(j)],
+                                [lam[k] for k in g.leg_nodes(j)], offsets[j])
+                 for j in range(g.num_legs))
 
 
-def char_poly_error(a: np.ndarray, spec: OrbitSpec) -> float:
-    """Relative coefficient distance between charpoly(a) and the spec's."""
+@functools.lru_cache(maxsize=256)
+def _target_poly(eigenvalues: tuple) -> tuple[np.ndarray, float]:
+    """Exact characteristic polynomial with the given roots, as complex
+    coefficients, and its coefficient scale."""
+    target = np.array([ratlin.to_complex(c) for c in
+                       ratlin.poly_from_roots([(v, 1) for v in eigenvalues])])
+    target.setflags(write=False)
+    return target, max(1.0, float(np.max(np.abs(target))))
+
+
+def char_poly_error(a: np.ndarray, eigenvalues) -> float:
+    """Relative coefficient distance between charpoly(a) and the exact
+    polynomial with the given eigenvalues (with repeats, in any order)."""
     actual = np.poly(np.asarray(a, dtype=complex))
-    target = spec.char_poly_complex()
-    scale = max(1.0, float(np.max(np.abs(target))))
+    target, scale = _target_poly(tuple(eigenvalues))
     return float(np.max(np.abs(actual - target))) / scale
+
+
+def closing_residue(finite, nu) -> np.ndarray:
+    """A_m = nu * Id - sum of the finite residues."""
+    n = finite[0].shape[0]
+    return ratlin.to_complex(nu) * np.eye(n) - sum(finite)
 
 
 @dataclass(frozen=True)
@@ -203,10 +214,6 @@ class FuchsianSystem:
         return self.residues[:-1]
 
     @property
-    def residue_at_infinity(self) -> np.ndarray:
-        return self.residues[-1] - ratlin.to_complex(self.nu) * np.eye(self.n)
-
-    @property
     def specs(self) -> tuple[OrbitSpec, ...]:
         return predicted_specs(self.graph, self.lam, self.offsets)
 
@@ -217,13 +224,6 @@ class FuchsianSystem:
         if all(s.trace() == 0 for s in self.specs):
             return "trace_zero"
         return "none"
-
-    def rhs(self, z: complex) -> np.ndarray:
-        """The rational matrix A(z) = sum A_i / (z - a_i) of the system."""
-        acc = np.zeros((self.n, self.n), dtype=complex)
-        for a, p in zip(self.finite_residues, self.poles):
-            acc += a / (z - p)
-        return acc
 
     # -- verification -------------------------------------------------------
 
@@ -243,11 +243,11 @@ class FuchsianSystem:
             raise ValueError("nu inconsistent with lam and offsets")
         scale = sum(float(np.linalg.norm(a)) for a in self.residues)
         total = sum(self.residues) - ratlin.to_complex(self.nu) * np.eye(self.n)
-        if float(np.linalg.norm(total)) > 1e-10 * max(1.0, scale):
+        if float(np.linalg.norm(total)) > SUM_TOL * max(1.0, scale):
             raise ValueError("residues do not sum to nu * Id")
         worst = 0.0
         for a, s in zip(self.residues, specs):
-            err = char_poly_error(a, s)
+            err = char_poly_error(a, s.eigen_list())
             worst = max(worst, err)
             if err > self.tol:
                 raise DegeneracyError(
@@ -259,9 +259,8 @@ class FuchsianSystem:
         nu = self.nu if nu is None else nu
         lam = self.lam if lam is None else lam
         offsets = self.offsets if offsets is None else tuple(offsets)
-        n = finite[0].shape[0]
-        a_m = ratlin.to_complex(nu) * np.eye(n) - sum(finite)
-        sys2 = FuchsianSystem(self.graph, self.poles, tuple(finite) + (a_m,),
+        sys2 = FuchsianSystem(self.graph, self.poles,
+                              tuple(finite) + (closing_residue(finite, nu),),
                               lam, offsets, nu, self.tol)
         if verify:
             sys2.verify()
@@ -269,20 +268,17 @@ class FuchsianSystem:
 
 
 def make_system(graph: StarGraph, poles, finite_residues, lam: ParamVector,
-                offsets=None, tol: float = DEFAULT_TOL,
-                verify: bool = True) -> FuchsianSystem:
+                offsets=None, tol: float = DEFAULT_TOL) -> FuchsianSystem:
     """Assemble a FuchsianSystem from its finite residues; A_m is filled in
     from the scalar constraint."""
     offsets = tuple(offsets) if offsets is not None \
         else (Fraction(0),) * graph.num_legs
     nu = lam[graph.center] + sum(offsets, Fraction(0))
     finite = [np.asarray(a, dtype=complex) for a in finite_residues]
-    n = finite[0].shape[0]
-    a_m = ratlin.to_complex(nu) * np.eye(n) - sum(finite)
-    sys = FuchsianSystem(graph, tuple(poles), tuple(finite) + (a_m,),
+    sys = FuchsianSystem(graph, tuple(poles),
+                         tuple(finite) + (closing_residue(finite, nu),),
                          lam, offsets, nu, tol)
-    if verify:
-        sys.verify()
+    sys.verify()
     return sys
 
 
@@ -293,17 +289,16 @@ def make_system(graph: StarGraph, poles, finite_residues, lam: ParamVector,
 _NODE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def random_regular_lam(g: StarGraph, rng: random.Random, max_tries: int = 400,
-                       margin: float = 0.05) -> ParamVector:
+def random_regular_lam(g: StarGraph, rng: random.Random) -> ParamVector:
     """Random exact rational level-zero lam off every root hyperplane.
 
     Each non-central node draws numerator/prime-denominator with a prime
     of its own, which makes every within-pole eigenvalue difference (a sum
     of the parameters over a run of distinct nodes) provably non-integral,
     so elementary Schlesinger moves can never collide two exponents.  On
-    top of that, root pairings must stay `margin` away from zero and the
-    within-pole differences a little away from integer neighbourhoods, to
-    keep the draw a well-conditioned floating-point witness."""
+    top of that, root pairings must stay ROOT_MARGIN away from zero and the
+    within-pole differences INTEGER_MARGIN away from integers, to keep the
+    draw a well-conditioned floating-point witness."""
     from .dynkin import enumerate_roots, root_pairing
     delta = g.delta
     c = g.center
@@ -311,7 +306,7 @@ def random_regular_lam(g: StarGraph, rng: random.Random, max_tries: int = 400,
     primes = _NODE_PRIMES
     if g.node_count - 1 > len(primes):
         raise ValueError("graph too large for the prime-denominator draw")
-    for _ in range(max_tries):
+    for _ in range(400):
         vals = [Fraction(0)] * g.node_count
         k = 0
         for node in range(g.node_count):
@@ -328,14 +323,14 @@ def random_regular_lam(g: StarGraph, rng: random.Random, max_tries: int = 400,
         lam = ParamVector(tuple(vals))
         if lam[c] == 0:
             continue
-        if min(abs(float(root_pairing(r, lam))) for r in roots) < margin:
+        if min(abs(float(root_pairing(r, lam))) for r in roots) < ROOT_MARGIN:
             continue
         diffs = []
         for spec in predicted_specs(g, lam):
             vs = spec.values
             diffs.extend(float(a - b) for i, a in enumerate(vs)
                          for b in vs[i + 1:])
-        if all(abs(d - round(d)) >= 0.02 for d in diffs):
+        if all(abs(d - round(d)) >= INTEGER_MARGIN for d in diffs):
             return lam
     raise DegenerateSampleError("could not sample a regular lam")
 
@@ -429,8 +424,8 @@ def _draw_starts(n, count, style, rng):
 
 
 def _fit_orbit_sum(target: np.ndarray, specs, rng: np.random.Generator,
-                   tol: float = 2e-11, styles=(1, 0, 2, 3),
-                   max_iters: int = 150, homotopy: bool = False):
+                   styles=(1, 0, 2, 3), max_iters: int = 150,
+                   homotopy: bool = False):
     """Find A_k in the orbit of specs[k] with sum A_k = target, or None.
 
     Direct trust-region Gauss-Newton from the given starting styles,
@@ -446,8 +441,8 @@ def _fit_orbit_sum(target: np.ndarray, specs, rng: np.random.Generator,
     # initialisation style
     for style in styles:
         gs = _draw_starts(n, len(specs), style, rng)
-        gs, mats, res = _tr_gauss_newton(gs, diags, target, tol, max_iters)
-        if res < tol * scale:
+        gs, mats, res = _tr_gauss_newton(gs, diags, target, FIT_TOL, max_iters)
+        if res < FIT_TOL * scale:
             return mats
 
     if homotopy:
@@ -458,9 +453,9 @@ def _fit_orbit_sum(target: np.ndarray, specs, rng: np.random.Generator,
             t = t_step
             for _ in range(60):
                 tt = (1 - t) * m0 + t * target
-                gs_new, mats, res = _tr_gauss_newton(gs, diags, tt, tol,
+                gs_new, mats, res = _tr_gauss_newton(gs, diags, tt, FIT_TOL,
                                                      max_iters=150)
-                if res < tol * _fit_scale(tt, diags):
+                if res < FIT_TOL * _fit_scale(tt, diags):
                     gs = gs_new
                     if t >= 1.0:
                         return mats
@@ -474,8 +469,7 @@ def _fit_orbit_sum(target: np.ndarray, specs, rng: np.random.Generator,
     return None
 
 
-def sample_system(type_name: str, seed: int, tol: float = DEFAULT_TOL,
-                  poles=None):
+def sample_system(type_name: str, seed: int, tol: float = DEFAULT_TOL):
     """Seeded random Fuchsian system of the given affine type, det-zero
     normalised, with exact regular lam.  Returns (system, lam).
 
@@ -487,8 +481,7 @@ def sample_system(type_name: str, seed: int, tol: float = DEFAULT_TOL,
     g = StarGraph.affine(type_name)
     rng_exact = random.Random(f"starweyl/{type_name}/{seed}")
     rng_np = np.random.default_rng([zlib.crc32(type_name.encode()), seed])
-    if poles is None:
-        poles = DEFAULT_POLES[g.num_legs]
+    poles = DEFAULT_POLES[g.num_legs]
     m = g.num_legs
     n = g.delta[g.center]
     eye = np.eye(n)
@@ -542,7 +535,7 @@ def normalize(sys: FuchsianSystem, mode: str) -> FuchsianSystem:
                              offsets=offsets)
 
 
-def algebra_dimension(mats, tol: float = 1e-9) -> int:
+def algebra_dimension(mats) -> int:
     """Dimension of the unital algebra generated by the matrices (span of
     all words, grown incrementally with an orthonormal basis)."""
     n = mats[0].shape[0]
@@ -554,7 +547,7 @@ def algebra_dimension(mats, tol: float = 1e-9) -> int:
         for b in basis:
             v = v - np.vdot(b, v) * b
         nrm = float(np.linalg.norm(v))
-        if nrm > tol * max(1.0, nrm0):
+        if nrm > SPAN_TOL * max(1.0, nrm0):
             basis.append(v / nrm)
             return True
         return False
@@ -573,11 +566,11 @@ def algebra_dimension(mats, tol: float = 1e-9) -> int:
     return len(basis)
 
 
-def is_irreducible(sys: FuchsianSystem, tol: float = 1e-9) -> bool:
+def is_irreducible(sys: FuchsianSystem) -> bool:
     """Burnside criterion: the finite residues generate the full matrix
     algebra iff no simultaneous block triangularisation exists."""
     n = sys.n
-    return algebra_dimension(list(sys.finite_residues), tol) == n * n
+    return algebra_dimension(list(sys.finite_residues)) == n * n
 
 
 @dataclass(frozen=True)

@@ -59,40 +59,31 @@ def _is_np(x) -> bool:
     return isinstance(x, np.ndarray)
 
 
-def _mul(a, b):
-    if _is_np(a) or _is_np(b):
-        return np.asarray(a) @ np.asarray(b)
-    return ratlin.mmul(a, b)
+def _either(np_op, exact_op):
+    """Binary matrix operation on numpy arrays if either side is one,
+    exact otherwise."""
+    def op(a, b):
+        if _is_np(a) or _is_np(b):
+            return np_op(np.asarray(a), np.asarray(b))
+        return exact_op(a, b)
+    return op
 
 
-def _sub(a, b):
-    if _is_np(a) or _is_np(b):
-        return np.asarray(a) - np.asarray(b)
-    return ratlin.msub(a, b)
-
-
-def _add(a, b):
-    if _is_np(a) or _is_np(b):
-        return np.asarray(a) + np.asarray(b)
-    return ratlin.madd(a, b)
+_mul = _either(np.matmul, ratlin.mmul)
+_sub = _either(np.subtract, ratlin.msub)
+_add = _either(np.add, ratlin.madd)
 
 
 def _shape(a):
-    if _is_np(a):
-        return a.shape
-    return (len(a), len(a[0]))
+    return a.shape if _is_np(a) else (len(a), len(a[0]))
 
 
 def _zeros(n, exact: bool):
-    if exact:
-        return ratlin.zeros(n)
-    return np.zeros((n, n), dtype=complex)
+    return ratlin.zeros(n) if exact else np.zeros((n, n), dtype=complex)
 
 
 def _trace(a):
-    if _is_np(a):
-        return complex(np.trace(a))
-    return ratlin.trace(a)
+    return complex(np.trace(a)) if _is_np(a) else ratlin.trace(a)
 
 
 @dataclass(frozen=True)
@@ -281,14 +272,14 @@ def increment(q: AlmostAffineQuiver) -> IncrementedQuiver:
     return IncrementedQuiver(q)
 
 
-def embed_params(inc: IncrementedQuiver, lam: ParamVector, center_value=Fraction(0)) -> ParamVector:
-    """Parameters of Q+ whose projection is lam; the Q+ centre gets
-    center_value (default 0, the canonical section of pr)."""
+def embed_params(inc: IncrementedQuiver, lam: ParamVector) -> ParamVector:
+    """Parameters of Q+ whose projection is lam; the Q+ centre gets 0 (the
+    canonical section of pr)."""
     gb = inc.base.graph
     if len(lam) != gb.node_count:
         raise ValueError("parameter length mismatch with base quiver")
     vals = [None] * inc.graph.node_count
-    vals[inc.graph.center] = center_value
+    vals[inc.graph.center] = Fraction(0)
     for node in range(gb.node_count):
         vals[inc.to_plus(node)] = lam[node]
     return ParamVector(tuple(vals))

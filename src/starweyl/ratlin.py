@@ -99,9 +99,6 @@ class GaussianRational:
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 

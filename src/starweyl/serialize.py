@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynkin import ParamVector, StarGraph
 from .errors import InputFormatError
-from .fuchsian import FuchsianSystem, make_system
+from .fuchsian import DEFAULT_TOL, FuchsianSystem, make_system
 from .quiver import DimensionVector, QuiverRep
 from .ratlin import GaussianRational, format_rational, parse_rational
 from .sakai import PointConfig
@@ -95,7 +95,7 @@ def system_in(doc) -> FuchsianSystem:
         lam = lam_in(doc["lam"])
         offsets = tuple(_scalar_in(o) for o in doc["offsets"])
         residues = [matrix_in(m) for m in doc["residues"]]
-        tol = float(doc.get("tol", 1e-9))
+        tol = float(doc.get("tol", DEFAULT_TOL))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed system document: {exc}")
     return make_system(graph, poles, residues[:-1], lam, offsets=offsets,
@@ -153,22 +153,34 @@ def rep_in(doc) -> QuiverRep:
     return QuiverRep(graph, dims, phi, phi_star)
 
 
+def _signature_table(head, rows) -> str:
+    """CSV whose columns are head and then the (re, im) float pairs of a
+    signature; rows holds (leading cells, signature) pairs."""
+    width = len(rows[0][1].values)
+    lines = [",".join(head + [x for k in range(width)
+                              for x in (f"sig{k}_re", f"sig{k}_im")])]
+    for cells, sig in rows:
+        lines.append(",".join(cells + [repr(x) for v in sig.values
+                                       for x in (v.real, v.imag)]))
+    return "\n".join(lines) + "\n"
+
+
 def signature_csv(signatures, labels=None) -> str:
     """Signatures as CSV rows of (re, im) float pairs, one row per entry."""
     if not signatures:
         return ""
-    width = len(signatures[0].values)
-    header = ["label"] + [x for k in range(width)
-                          for x in (f"sig{k}_re", f"sig{k}_im")]
-    lines = [",".join(header)]
-    for k, sig in enumerate(signatures):
-        label = str(labels[k]) if labels is not None else str(k)
-        cells = [label]
-        for v in sig.values:
-            cells.append(repr(v.real))
-            cells.append(repr(v.imag))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _signature_table(["label"], [
+        ([str(labels[k]) if labels is not None else str(k)], sig)
+        for k, sig in enumerate(signatures)])
+
+
+def orbit_csv(rows) -> str:
+    """dp_orbit rows (k, lam_k, signature_k) as CSV: the step, the exact
+    parameters and the signature."""
+    return _signature_table(
+        ["step"] + [f"lam_{i}" for i in range(len(rows[0][1]))],
+        [([str(k)] + [format_rational(v) for v in lam.values], sig)
+         for k, lam, sig in rows])
 
 
 def word_out(tags) -> dict:

@@ -26,19 +26,32 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ratlin
 from .dynkin import (
     ParamVector,
     StarGraph,
+    leg_node_permutation,
+    permute_param,
     reflect_param,
     smallest_root_pairing,
     weight_lattice_member,
 )
 from .errors import DegeneracyError
 from .fuchsian import (
+    DEFAULT_TOL,
+    DRIFT_GUARDS,
+    GAUGE_TOL,
+    ORBIT_TOL,
+    PAIRING_FLOOR,
+    POLISH_ACCEPT,
+    POLISH_GOAL,
+    POLISH_TRIGGER,
+    ZERO_CUTOFF,
     FuchsianSystem,
     OrbitSpec,
+    _fit_scale,
+    _tr_gauss_newton,
     char_poly_error,
+    closing_residue,
     make_system,
     normalize,
     orbit_from_leg,
@@ -55,10 +68,7 @@ from .quiver import (
     project_params,
     shift_params,
 )
-
-
-def _cx(x):
-    return ratlin.to_complex(x)
+from .ratlin import smith_diagonal, to_complex as _cx
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +89,7 @@ class IncrementedPair:
     p: np.ndarray
     q: np.ndarray
     poles: tuple
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         for a in (self.p, self.q):
@@ -94,12 +104,8 @@ class IncrementedPair:
         return self.inc.block_sizes
 
     def block_slices(self):
-        out = []
-        start = 0
-        for s in self.block_sizes:
-            out.append(slice(start, start + s))
-            start += s
-        return out
+        return [slice(end - s, end) for s, end in
+                zip(self.block_sizes, itertools.accumulate(self.block_sizes))]
 
     @property
     def b(self) -> np.ndarray:
@@ -144,11 +150,10 @@ class IncrementedPair:
             total = sum((s.trace() for s in breves), Fraction(0))
             if total != hat.trace():
                 raise ValueError("trace compatibility fails: lam . Delta != 0")
-        worst = char_poly_error(self.qp, hat)
-        for i in range(len(self.block_sizes)):
-            sl = self.block_slices()[i]
-            worst = max(worst, char_poly_error(self.p[sl, :] @ self.q[:, sl],
-                                               breves[i]))
+        worst = max([char_poly_error(self.qp, hat.eigen_list())]
+                    + [char_poly_error(self.p[sl, :] @ self.q[:, sl],
+                                       spec.eigen_list())
+                       for sl, spec in zip(self.block_slices(), breves)])
         if worst > self.tol:
             raise DegeneracyError(
                 f"pair is {worst:.2e} away from its orbit data (tol {self.tol:.1e})")
@@ -223,8 +228,8 @@ def project(pair: IncrementedPair) -> FuchsianSystem:
     vals, vecs = np.linalg.eig(w)
     scale = max(1.0, float(np.max(np.abs(vals))))
     order = np.argsort(np.abs(vals))
-    if abs(vals[order[0]]) > 1e-6 * scale or \
-            abs(vals[order[1]]) < 1e-6 * scale:
+    if abs(vals[order[0]]) > ZERO_CUTOFF * scale or \
+            abs(vals[order[1]]) < ZERO_CUTOFF * scale:
         raise DegeneracyError("zero eigenvalue of QP is not numerically simple")
     kernel = vecs[:, order[0]:order[0] + 1]
     others = vecs[:, [k for k in order[1:]]]
@@ -238,7 +243,7 @@ def project(pair: IncrementedPair) -> FuchsianSystem:
         finite.append(compressed)
     lam_out = project_params(pair.inc, pair.lam_plus)
     return make_system(pair.inc.base.graph, pair.poles, finite, lam_out,
-                       tol=max(pair.tol, 1e-8))
+                       tol=max(pair.tol, ORBIT_TOL))
 
 
 def central_reflection(sys: FuchsianSystem) -> FuchsianSystem:
@@ -280,8 +285,7 @@ def leg_reflection(sys: FuchsianSystem, node: int) -> FuchsianSystem:
     if pos == 1:
         # new leading eigenvalue is the old second one
         offsets[leg] = spec.values[1]
-    out = FuchsianSystem(g, sys.poles, sys.residues, lam_new,
-                         tuple(offsets), sys.nu, sys.tol)
+    out = replace(sys, lam=lam_new, offsets=tuple(offsets))
     out.verify()
     if sys.normalization == "det_zero" and out.normalization != "det_zero":
         out = normalize(out, "det_zero")
@@ -314,7 +318,7 @@ def _eigspace_basis(a: np.ndarray, value: complex):
     shifted = a - value * np.eye(a.shape[0])
     _, s, vh = np.linalg.svd(shifted)
     scale = max(1.0, float(s[0]))
-    sel = [k for k in range(len(s)) if s[k] < 1e-6 * scale]
+    sel = [k for k in range(len(s)) if s[k] < ZERO_CUTOFF * scale]
     if not sel:
         raise DegeneracyError(f"no eigenvalue of the residue near {value}")
     return vh[sel, :].conj().T
@@ -329,7 +333,7 @@ def _best_projector(a_up: np.ndarray, up_val: complex,
     wb = _eigspace_basis(a_down.T, down_val)
     overlap = wb.T @ vb
     u, s, vh = np.linalg.svd(overlap)
-    if s[0] < 1e-8:
+    if s[0] < PAIRING_FLOOR:
         raise DegeneracyError("eigenvector pairing is degenerate (w.v = 0)")
     v = vb @ vh[0].conj()
     w = wb @ u[:, 0].conj()
@@ -338,7 +342,7 @@ def _best_projector(a_up: np.ndarray, up_val: complex,
     return pi
 
 
-def _gauge_residues(sys_fin, poles, nu_c, up, down, pi, up_val, down_val):
+def _gauge_residues(sys_fin, poles, up, down, pi, up_val, down_val):
     """New finite residues after the rank-one Schlesinger gauge; up/down
     are pole indices with the infinity pole = len(poles)."""
     m_fin = len(sys_fin)
@@ -421,44 +425,26 @@ def _gauge_check(sys_fin, new_fin, poles, up, down, pi, rng):
         a_z = sum(a / (z - p) for a, p in zip(sys_fin, poles))
         lhs = g @ a_z @ gi + dlog
         rhs = sum(a / (z - p) for a, p in zip(new_fin, poles))
-        if float(np.linalg.norm(lhs - rhs)) > 1e-8 * scale:
+        if float(np.linalg.norm(lhs - rhs)) > GAUGE_TOL * scale:
             raise DegeneracyError("gauge residue check failed "
                                   f"({float(np.linalg.norm(lhs - rhs)):.2e})")
 
 
-def _unit_move(finite, poles, nu, up, up_val, down, down_val, tol, rng):
+def _unit_move(finite, poles, nu, up, up_val, down, down_val, rng):
     """One elementary Schlesinger move: exponent up_val -> up_val + 1 at
     pole `up`, down_val -> down_val - 1 at pole `down` (pole index
     len(poles) means infinity).  Returns the new finite residues."""
-    m_fin = len(poles)
-    inf = m_fin
-    n = finite[0].shape[0]
-    a_m = _cx(nu) * np.eye(n) - sum(finite)
+    inf = len(poles)
+    a_m = closing_residue(finite, nu)
 
     def mat(i):
         return a_m if i == inf else finite[i]
 
     pi = _best_projector(mat(up), _cx(up_val), mat(down), _cx(down_val))
-    new_fin = _gauge_residues(finite, poles, _cx(nu), up, down, pi,
-                              _cx(up_val), _cx(down_val))
+    new_fin = _gauge_residues(finite, poles, up, down, pi, _cx(up_val),
+                              _cx(down_val))
     _gauge_check(finite, new_fin, poles, up, down, pi, rng)
     return new_fin
-
-
-@functools.lru_cache(maxsize=256)
-def _multiset_poly(values: tuple) -> tuple[np.ndarray, float]:
-    """Characteristic polynomial with the given roots, as complex
-    coefficients, and its coefficient scale."""
-    target = np.array([ratlin.to_complex(c)
-                       for c in ratlin.poly_from_roots([(v, 1) for v in values])])
-    target.setflags(write=False)
-    return target, max(1.0, float(np.max(np.abs(target))))
-
-
-def _multiset_poly_error(a: np.ndarray, values) -> float:
-    actual = np.poly(np.asarray(a, dtype=complex))
-    target, scale = _multiset_poly(tuple(values))
-    return float(np.max(np.abs(actual - target))) / scale
 
 
 def schlesinger_step(sys: FuchsianSystem, pole_i: int, slot_k: int,
@@ -488,7 +474,7 @@ def schlesinger_step(sys: FuchsianSystem, pole_i: int, slot_k: int,
             raise DegeneracyError("step would collide two eigenvalues")
     rng = np.random.default_rng(0)
     finite = _unit_move(list(sys.finite_residues), sys.poles, sys.nu,
-                        pole_i, up_val, pole_j, down_val, sys.tol, rng)
+                        pole_i, up_val, pole_j, down_val, rng)
     # rebuild exact bookkeeping from the moved slot values
     lam_vals = list(sys.lam.values)
     g = sys.graph
@@ -500,13 +486,9 @@ def schlesinger_step(sys: FuchsianSystem, pole_i: int, slot_k: int,
         for j, node in enumerate(nodes):
             if j + 1 < len(vals):
                 lam_vals[node] = vals[j] - vals[j + 1]
-    nu_new = sys.nu
-    lam_vals[g.center] = nu_new - sum(offsets, Fraction(0))
-    lam_new = ParamVector(tuple(lam_vals))
-    out = FuchsianSystem(g, sys.poles, tuple(finite)
-                         + (_cx(nu_new) * np.eye(sys.n) - sum(finite),),
-                         lam_new, tuple(offsets), nu_new, sys.tol)
-    out.verify()
+    lam_vals[g.center] = sys.nu - sum(offsets, Fraction(0))
+    out = sys.with_residues(finite, lam=ParamVector(tuple(lam_vals)),
+                            offsets=offsets)
     if sys.normalization == "det_zero":
         out = normalize(out, "det_zero")
     return out
@@ -562,11 +544,15 @@ def _offset_candidates(t_shifts, mults, mu_c: int, keep: int = 3):
     return heapq.nsmallest(keep, scored())
 
 
+_PLANS = 3        # ranked move plans translate tries
+_ORDERS = 8       # pairing orders (order seeds) per plan
+
+
 @functools.lru_cache(maxsize=64)
-def _ranked_offsets(t_shifts: tuple, mults: tuple, mu_c: int, keep: int):
-    """_offset_candidates memoised on tuples: every step along one
-    translation vector asks for the same ranking."""
-    return tuple(_offset_candidates(t_shifts, mults, mu_c, keep))
+def _ranked_offsets(t_shifts: tuple, mults: tuple, mu_c: int):
+    """The best _PLANS _offset_candidates, memoised on tuples: every step
+    along one translation vector asks for the same ranking."""
+    return tuple(_offset_candidates(t_shifts, mults, mu_c, _PLANS))
 
 
 def _move_profile(g: StarGraph, coords):
@@ -645,7 +631,6 @@ def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
     all vectors at once from per-pole tables (_min_offset_costs); the
     lightest vectors, ties broken by coords, are taken greedily while they
     extend a unimodular set."""
-    from .ratlin import smith_diagonal
     r = len(g.finite_nodes)
     delta = g.delta
 
@@ -670,7 +655,7 @@ def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
                  for coords in chosen)
 
 
-def _plan_moves(sys: FuchsianSystem, mu: ParamVector, keep: int = 3):
+def _plan_moves(sys: FuchsianSystem, mu: ParamVector):
     """Decompose the translation by mu into per-value integer shifts,
     using the tensoring freedom to balance moves across the poles.
     Returns (lam_new, ranked [(per-pole slot shifts, constants)])."""
@@ -694,7 +679,7 @@ def _plan_moves(sys: FuchsianSystem, mu: ParamVector, keep: int = 3):
         mults.append(list(old[p].mults))
     plans = []
     for _, consts in _ranked_offsets(tuple(map(tuple, t_shifts)),
-                                     tuple(map(tuple, mults)), int(mu_c), keep):
+                                     tuple(map(tuple, mults)), int(mu_c)):
         shifts = [[t + consts[p] for t in t_shifts[p]] for p in range(sys.m)]
         plans.append((shifts, consts))
     return lam_new, plans
@@ -773,14 +758,11 @@ def _run_moves(sys0: FuchsianSystem, run: _MoveRun, guard: float):
     residues.  Raises DegeneracyError when the drift after a move exceeds
     the guard (the run may resume under a looser one) or when the run
     fails in a way no guard lifts (recorded as run.failure)."""
-    n = sys0.n
-    inf = sys0.m - 1
     values = run.values
 
     def worst_drift(fin):
-        a_m = _cx(sys0.nu) * np.eye(n) - sum(fin)
-        return max(_multiset_poly_error(a_m if p == inf else fin[p], values[p])
-                   for p in range(sys0.m))
+        mats = list(fin) + [closing_residue(fin, sys0.nu)]
+        return max(char_poly_error(a, vals) for a, vals in zip(mats, values))
 
     # guard the scaffolding states; the final tuple is additionally held to
     # the full tolerance after re-anchoring
@@ -790,15 +772,14 @@ def _run_moves(sys0: FuchsianSystem, run: _MoveRun, guard: float):
         pu, cu, pd, cd = run.moves[run.done]
         try:
             finite = _unit_move(run.finite, sys0.poles, sys0.nu, pu,
-                                values[pu][cu], pd, values[pd][cd], sys0.tol,
-                                run.rng)
+                                values[pu][cu], pd, values[pd][cd], run.rng)
         except DegeneracyError as exc:
             run.failure = exc
             raise
         values[pu][cu] += 1
         values[pd][cd] -= 1
         err = worst_drift(finite)
-        if err > 1e-9:
+        if err > POLISH_TRIGGER:
             # near-degenerate passages amplify the witness error; re-anchor
             # the intermediate state on its exact eigenvalue data
             polished = _polish_residues(finite, values, sys0.nu)
@@ -814,14 +795,16 @@ def _run_moves(sys0: FuchsianSystem, run: _MoveRun, guard: float):
     return run.finite
 
 
+_JITTER = 1e-3    # restart perturbation of the re-anchoring conjugators
+
+
 def _polish_residues(finite, exact_values, nu):
     """Re-anchor a drifted residue tuple on the exact variety: warm-started
     Gauss-Newton over all conjugators with sum A_p = nu * Id, the exact
     per-pole eigenvalue lists as diagonals and the tuple's own eigenvectors
     as starting point.  Returns refined finite residues or None."""
-    from .fuchsian import _tr_gauss_newton, _fit_scale
     n = finite[0].shape[0]
-    mats = list(finite) + [_cx(nu) * np.eye(n) - sum(finite)]
+    mats = list(finite) + [closing_residue(finite, nu)]
     gs, diags = [], []
     for a, values in zip(mats, exact_values):
         vals, vecs = np.linalg.eig(a)
@@ -836,29 +819,26 @@ def _polish_residues(finite, exact_values, nu):
         gs.append(vecs / np.where(norms > 0, norms, 1.0))
         diags.append(np.diag(exact[order]))
     target = _cx(nu) * np.eye(n)
-    goal = 1e-11 * _fit_scale(target, diags)
+    goal = POLISH_ACCEPT * _fit_scale(target, diags)
     rng = np.random.default_rng(5)
     start = gs
     for attempt in range(3):
-        gs2, out, res = _tr_gauss_newton(start, diags, target, 2e-13,
+        gs2, out, res = _tr_gauss_newton(start, diags, target, POLISH_GOAL,
                                          max_iters=60)
         if res <= goal:
             return out[:-1]
-        start = [gk + 1e-3 * (attempt + 1) * (rng.standard_normal((n, n))
-                                              + 1j * rng.standard_normal((n, n)))
+        start = [gk + _JITTER * (attempt + 1) * (rng.standard_normal((n, n))
+                                                 + 1j * rng.standard_normal((n, n)))
                  for gk in gs]
     return None
 
 
-_GUARDS = (1e-10, 1e-8, 5e-7)
-
-
-def _plan_runs(sys0: FuchsianSystem, shifts, consts, retries: int):
-    """Yield a fresh run for each order_seed in range(retries) whose move
+def _plan_runs(sys0: FuchsianSystem, shifts, consts):
+    """Yield a fresh run for each order_seed in range(_ORDERS) whose move
     sequence differs from those of the lower seeds."""
     specs = sys0.specs
     seen = set()
-    for order_seed in range(retries):
+    for order_seed in range(_ORDERS):
         moves, stop = _move_sequence(specs, shifts, order_seed)
         if (moves, stop) in seen:
             continue
@@ -868,22 +848,22 @@ def _plan_runs(sys0: FuchsianSystem, shifts, consts, retries: int):
                        np.random.default_rng(order_seed + 1))
 
 
-def translate(sys: FuchsianSystem, mu, retries: int = 8) -> FuchsianSystem:
+def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     """Translate by an integral level-zero weight vector: lam -> lam + mu,
     realised as a composition of elementary Schlesinger moves.
 
     The moves follow a ladder: drift guards from strict to loose, within
     each guard the ranked move plans, within each plan the pairing orders
-    (order_seed 0 pairs moves in lexicographic slot order, up to `retries`
-    reshuffled orders follow), and the first run that gets through wins.
-    Each move sequence is built from the exact bookkeeping alone, so an
-    order whose sequence repeats a lower one of the same plan is skipped,
-    and a run that a guard stopped resumes where it stopped under the next
-    looser guard instead of starting over; runs that failed in a way no
-    guard lifts are not tried again.  The result is that of running every
-    rung from scratch.  The final tuple is re-anchored on the exact orbit
-    data (the matrices are floating-point witnesses of the exact
-    bookkeeping), which stops drift from accumulating along iterated
+    (order_seed 0 pairs moves in lexicographic slot order, reshuffled
+    orders follow up to _ORDERS in all), and the first run that gets
+    through wins.  Each move sequence is built from the exact bookkeeping
+    alone, so an order whose sequence repeats a lower one of the same plan
+    is skipped, and a run that a guard stopped resumes where it stopped
+    under the next looser guard instead of starting over; runs that failed
+    in a way no guard lifts are not tried again.  The result is that of
+    running every rung from scratch.  The final tuple is re-anchored on the
+    exact orbit data (the matrices are floating-point witnesses of the
+    exact bookkeeping), which stops drift from accumulating along iterated
     orbits.  If every rung fails, the DegeneracyError names the number of
     distinct move sequences run, the last plan and guard, and the last
     error."""
@@ -898,14 +878,14 @@ def translate(sys: FuchsianSystem, mu, retries: int = 8) -> FuchsianSystem:
     # prefer strict move sequences; fall back to alternative plans, then to
     # looser guards (with the re-anchoring absorbing the drift) only when
     # every clean order fails
-    for guard in _GUARDS:
+    for guard in DRIFT_GUARDS:
         for plan_runs, (shifts, consts) in zip(runs, plans):
             offsets = tuple(Fraction(c) for c in consts)
             target_values = [s.eigen_list()
                              for s in predicted_specs(g, lam_new, offsets)]
             # the runs of a plan are built during the first guard's pass
-            first = guard == _GUARDS[0]
-            for run in (_plan_runs(sys0, shifts, consts, retries) if first
+            first = guard == DRIFT_GUARDS[0]
+            for run in (_plan_runs(sys0, shifts, consts) if first
                         else plan_runs):
                 if first:
                     plan_runs.append(run)
@@ -921,12 +901,8 @@ def translate(sys: FuchsianSystem, mu, retries: int = 8) -> FuchsianSystem:
                     polished = _polish_residues(finite, target_values, sys0.nu)
                     if polished is not None:
                         finite = polished
-                    out = FuchsianSystem(
-                        g, sys0.poles,
-                        tuple(finite)
-                        + (_cx(sys0.nu) * np.eye(sys0.n) - sum(finite),),
-                        lam_new, offsets, sys0.nu, sys0.tol)
-                    out.verify()
+                    out = sys0.with_residues(finite, lam=lam_new,
+                                             offsets=offsets)
                     return normalize(out, "det_zero")
                 except DegeneracyError as exc:
                     run.failure = failure = exc
@@ -941,11 +917,11 @@ def dp_orbit(sys: FuchsianSystem, mu, steps: int, sig_len: int = 3):
     """Iterate translate, emitting (k, lam_k, signature_k) rows; row 0 is
     the starting system.  Long orbits may pass close to walls where the
     matrix witnesses honestly lose accuracy, so the per-step orbit checks
-    run at the 1e-8 acceptance tolerance.  A DegeneracyError names the
+    run at the ORBIT_TOL acceptance tolerance.  A DegeneracyError names the
     failing step k and the smallest |root pairing| of its target lam, ahead
     of translate's own message."""
     mu = mu if isinstance(mu, ParamVector) else ParamVector(tuple(mu))
-    cur = replace(sys, tol=max(sys.tol, 1e-8))
+    cur = replace(sys, tol=max(sys.tol, ORBIT_TOL))
     rows = [(0, cur.lam, signature(cur, sig_len))]
     for k in range(1, steps + 1):
         try:
@@ -986,13 +962,11 @@ def relabel_legs(sys: FuchsianSystem, perm) -> FuchsianSystem:
     for j, pj in enumerate(perm):
         if g.legs[j] != g.legs[pj]:
             raise ValueError("legs of different lengths cannot be relabelled")
-    lam_vals = list(sys.lam.values)
-    for j, pj in enumerate(perm):
-        for dst, src in zip(g.leg_nodes(j), g.leg_nodes(pj)):
-            lam_vals[dst] = sys.lam[src]
+    # the parameters of leg perm[j] move to leg j
+    nodes = leg_node_permutation(g, zip(perm, range(g.num_legs)))
     finite = [sys.finite_residues[perm[j]] for j in range(sys.m - 1)]
     offsets = tuple(sys.offsets[perm[j]] for j in range(sys.m))
-    return make_system(g, sys.poles, finite, ParamVector(tuple(lam_vals)),
+    return make_system(g, sys.poles, finite, permute_param(sys.lam, nodes),
                        offsets=offsets, tol=sys.tol)
 
 

@@ -1,5 +1,6 @@
 import os
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +13,7 @@ from starweyl.errors import DegeneracyError
 from starweyl.fuchsian import (
     OrbitSpec,
     algebra_dimension,
+    char_poly_error,
     conjugated,
     is_irreducible,
     leg_from_orbit,
@@ -23,6 +25,7 @@ from starweyl.fuchsian import (
     sample_system,
     signature,
 )
+from starweyl.ratlin import poly_from_roots, to_complex
 
 E8_MULTS = ((3, 3), (2, 2, 2), (1, 1, 1, 1, 1, 1))
 
@@ -285,3 +288,26 @@ def test_commutator_jacobian_equals_kron_blocks(flat):
     got = _commutator_jacobian(mats)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+_EIGEN = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_char_poly_error_matches_flat_reference(data):
+    """The orbit check takes the eigenvalue multiset in any order and
+    scores it like np.poly against the exact polynomial built from
+    (v, 1) roots, whether the values come shuffled or from an OrbitSpec."""
+    n = data.draw(st.integers(1, 6))
+    values = data.draw(st.lists(_EIGEN, min_size=n, max_size=n))
+    shuffled = data.draw(st.permutations(values))
+    flat = data.draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))
+    a = np.array(flat, dtype=complex).reshape(n, n)
+    target = np.array([to_complex(c) for c in
+                       poly_from_roots([(v, 1) for v in shuffled])])
+    want = (float(np.max(np.abs(np.poly(a) - target)))
+            / max(1.0, float(np.max(np.abs(target)))))
+    assert char_poly_error(a, shuffled) == want
+    spec = OrbitSpec(n, tuple(Counter(values).items()))
+    assert char_poly_error(a, spec.eigen_list()) == want

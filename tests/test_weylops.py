@@ -317,7 +317,8 @@ def test_operations_preserve_scalar_sum_and_irreducibility(name):
 def _reference_run(sys0, shifts, order_seed, guard):
     """One rung of the ladder from scratch: pair the pending moves as the
     bookkeeping dictates and execute each one as soon as it is chosen."""
-    from starweyl.weylops import _multiset_poly_error, _polish_residues, _unit_move
+    from starweyl.ratlin import poly_from_roots, to_complex
+    from starweyl.weylops import _polish_residues, _unit_move
     specs = sys0.specs
     values, targets = [], []
     for p in range(sys0.m):
@@ -353,13 +354,19 @@ def _reference_run(sys0, shifts, order_seed, guard):
             cd = next(c for c, v in enumerate(values[pd])
                       if v - 1 not in set(values[pd]))
         finite = _unit_move(finite, sys0.poles, sys0.nu, pu, values[pu][cu],
-                            pd, values[pd][cd], sys0.tol, rng)
+                            pd, values[pd][cd], rng)
         values[pu][cu] += 1
         values[pd][cd] -= 1
 
+        def poly_error(a, vals):
+            target = np.array([to_complex(c) for c in
+                               poly_from_roots([(v, 1) for v in vals])])
+            scale = max(1.0, float(np.max(np.abs(target))))
+            return float(np.max(np.abs(np.poly(a) - target))) / scale
+
         def drift(fin):
             a_m = nu_eye - sum(fin)
-            return max(_multiset_poly_error(a_m if p == inf else fin[p], values[p])
+            return max(poly_error(a_m if p == inf else fin[p], values[p])
                        for p in range(sys0.m))
 
         err = drift(finite)
