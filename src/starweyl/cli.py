@@ -8,6 +8,7 @@ is seeded, logs go to stderr, data to stdout or --out.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -92,7 +93,10 @@ def cmd_regular(args) -> int:
     if len(lam) != g.node_count:
         raise InputFormatError(
             f"lam has {len(lam)} entries, {args.type} needs {g.node_count}")
-    flag, violated = is_regular(g, lam)
+    try:
+        flag, violated = is_regular(g, lam)
+    except ValueError as exc:  # lam off level zero
+        raise InputFormatError(str(exc))
     out = {"schema": "starweyl/regular-v1", "type": args.type,
            "regular": flag,
            "violated": [list(r.coords) for r in violated]}
@@ -101,6 +105,8 @@ def cmd_regular(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise InputFormatError("--tol must be positive and finite")
     sysm, lam = sample_system(args.type, args.seed, tol=args.tol)
     err = sysm.verify()
     _log(f"sampled {args.type} system, seed {args.seed}")

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .ratlin import (
-    GaussianRational,
-    is_exact,
-    mat,
-    nullspace,
-    smith_diagonal,
-    to_complex,
-)
+from .ratlin import GaussianRational, mat, nullspace, smith_diagonal, to_complex
 
 AFFINE_LEGS = {
     "D4": (1, 1, 1, 1),
@@ -55,11 +48,9 @@ class StarGraph:
     legs: tuple[int, ...]
 
     def __post_init__(self):
-        legs = tuple(int(k) for k in self.legs)
-        if len(legs) < 1 or any(k < 1 for k in legs):
+        legs = tuple(sorted(int(k) for k in self.legs))
+        if len(legs) < 1 or legs[0] < 1:
             raise ValueError(f"invalid leg lengths {legs}")
-        if tuple(sorted(legs)) != legs:
-            legs = tuple(sorted(legs))
         object.__setattr__(self, "legs", legs)
 
     @classmethod
@@ -137,14 +128,9 @@ class StarGraph:
                              for row in self.cartan.entries]))
         if len(ker) != 1:
             raise ValueError("graph is not of affine type: ker C is not a line")
-        v = ker[0]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in v]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, abs(x))
+        denom = math.lcm(*(x.denominator for x in ker[0]))
+        ints = [int(x * denom) for x in ker[0]]
+        g = math.gcd(*ints)
         ints = [x // g for x in ints]
         if ints[self.extending] < 0:
             ints = [-x for x in ints]
@@ -239,10 +225,11 @@ class RootVector:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Parameter vector lam over a node index set; entries exact or complex.
+    """Parameter vector lam over a node index set, exact by construction.
 
-    The field tag is derived from the entries: "Q" (rationals), "Qi"
-    (Gaussian rationals) or "C" (machine complex).
+    An int entry becomes a Fraction, Fraction and GaussianRational entries
+    are kept, anything else raises TypeError.  The field tag is "Q" when
+    every entry is rational, else "Qi".
     """
 
     values: tuple
@@ -250,22 +237,16 @@ class ParamVector:
     def __post_init__(self):
         vals = []
         for v in self.values:
-            if isinstance(v, int):
+            if not isinstance(v, (Fraction, GaussianRational)):
+                if not isinstance(v, int):
+                    raise TypeError(f"parameter entries must be exact, got {v!r}")
                 v = Fraction(v)
             vals.append(v)
         object.__setattr__(self, "values", tuple(vals))
 
     @property
     def field(self) -> str:
-        if all(isinstance(v, Fraction) for v in self.values):
-            return "Q"
-        if all(is_exact(v) for v in self.values):
-            return "Qi"
-        return "C"
-
-    @property
-    def exact(self) -> bool:
-        return self.field in ("Q", "Qi")
+        return "Q" if all(isinstance(v, Fraction) for v in self.values) else "Qi"
 
     def __getitem__(self, i):
         return self.values[i]
@@ -277,11 +258,8 @@ class ParamVector:
         """lam . delta = sum_i delta_i lam_i."""
         return delta.dot(self.values)
 
-    def is_level_zero(self, delta: RootVector, tol: float = 1e-12) -> bool:
-        lv = self.level(delta)
-        if self.exact:
-            return lv == 0
-        return abs(complex(lv)) <= tol * max(1.0, max(abs(complex(v)) for v in self.values))
+    def is_level_zero(self, delta: RootVector) -> bool:
+        return self.level(delta) == 0
 
     def replace(self, i: int, value) -> "ParamVector":
         vals = list(self.values)
@@ -345,7 +323,8 @@ def enumerate_roots(type_or_graph) -> tuple[RootVector, ...]:
     simple-root basis indexed by the non-extending nodes.
 
     Breadth-first closure of the simple roots under the simple reflections;
-    no type-specific tables.
+    no type-specific tables.  Sorted in decreasing lexicographic order, so
+    every positive root comes before every negative one.
     """
     g = _resolve_graph(type_or_graph)
     c = finite_cartan(g)
@@ -369,6 +348,12 @@ def enumerate_roots(type_or_graph) -> tuple[RootVector, ...]:
     return tuple(RootVector(v) for v in roots)
 
 
+def positive_roots(type_or_graph) -> tuple[RootVector, ...]:
+    """The first half of enumerate_roots: one root of each pair r, -r."""
+    roots = enumerate_roots(type_or_graph)
+    return roots[:len(roots) // 2]
+
+
 def root_norm(g: StarGraph, root: RootVector) -> int:
     """((root, root)) in the finite form; equals 2 for every root."""
     c = finite_cartan(g)
@@ -388,19 +373,19 @@ def smallest_root_pairing(g: StarGraph, lam: ParamVector) -> float:
     """min |((lam, root))| over the finite roots: how far lam sits from the
     nearest root hyperplane (0 on a wall)."""
     return min(abs(to_complex(root_pairing(r, lam)))
-               for r in enumerate_roots(g))
+               for r in positive_roots(g))
 
 
 def is_regular(g: StarGraph, lam: ParamVector):
     """(flag, violated roots): flag is True iff no root pairing vanishes."""
-    if lam.exact and not lam.is_level_zero(g.delta):
+    if not lam.is_level_zero(g.delta):
         raise ValueError("is_regular expects a level-zero parameter vector")
     violated = tuple(r for r in enumerate_roots(g) if root_pairing(r, lam) == 0)
     return (len(violated) == 0, violated)
 
 
 def hyperplane_count(type_or_graph) -> int:
-    return len(enumerate_roots(type_or_graph)) // 2
+    return len(positive_roots(type_or_graph))
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +425,7 @@ def weight_lattice_basis(g: StarGraph) -> tuple[RootVector, ...]:
 def lattice_index(type_or_graph) -> int:
     """[P(R):Q(R)] = product of the Smith diagonal of the finite Cartan."""
     g = _resolve_graph(type_or_graph)
-    d = smith_diagonal(finite_cartan(g))
-    out = 1
-    for x in d:
-        out *= x
-    return out
+    return math.prod(smith_diagonal(finite_cartan(g)))
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,7 @@ class OrbitSpec:
     entries: tuple
 
     def __post_init__(self):
-        ent = tuple((v if ratlin.is_exact(v) else Fraction(v), int(m))
-                    for v, m in self.entries)
+        ent = tuple((v, int(m)) for v, m in self.entries)
         if sum(m for _, m in ent) != self.size:
             raise ValueError("multiplicities must sum to the size")
         if any(m <= 0 for _, m in ent):
@@ -114,7 +113,7 @@ def orbit_from_leg(n: int, leg_dims, leg_params, first=Fraction(0)) -> OrbitSpec
     if any(a <= b for a, b in zip(dims, dims[1:])):
         raise ValueError("leg dimensions must strictly decrease")
     entries = []
-    val = first if ratlin.is_exact(first) else Fraction(first)
+    val = first
     for j in range(len(dims) - 1):
         mult = dims[j] - dims[j + 1]
         if mult < 0:
@@ -213,7 +212,7 @@ class FuchsianSystem:
     def finite_residues(self) -> tuple:
         return self.residues[:-1]
 
-    @property
+    @functools.cached_property
     def specs(self) -> tuple[OrbitSpec, ...]:
         return predicted_specs(self.graph, self.lam, self.offsets)
 
@@ -235,11 +234,14 @@ class FuchsianSystem:
             raise ValueError("pole count must match the number of legs minus one")
         if len(set(self.poles)) != len(self.poles):
             raise ValueError("finite poles must be distinct")
-        if self.lam.exact and not self.lam.is_level_zero(g.delta):
+        if len(self.lam) != g.node_count or len(self.offsets) != g.num_legs:
+            raise ValueError(f"lam needs {g.node_count} entries and offsets "
+                             f"{g.num_legs}")
+        if not self.lam.is_level_zero(g.delta):
             raise ValueError("lam must be level zero")
         specs = self.specs
         nu_expected = self.lam[g.center] + sum(self.offsets, Fraction(0))
-        if ratlin.is_exact(self.nu) and self.nu != nu_expected:
+        if self.nu != nu_expected:
             raise ValueError("nu inconsistent with lam and offsets")
         scale = sum(float(np.linalg.norm(a)) for a in self.residues)
         total = sum(self.residues) - ratlin.to_complex(self.nu) * np.eye(self.n)
@@ -299,10 +301,10 @@ def random_regular_lam(g: StarGraph, rng: random.Random) -> ParamVector:
     top of that, root pairings must stay ROOT_MARGIN away from zero and the
     within-pole differences INTEGER_MARGIN away from integers, to keep the
     draw a well-conditioned floating-point witness."""
-    from .dynkin import enumerate_roots, root_pairing
+    from .dynkin import positive_roots, root_pairing
     delta = g.delta
     c = g.center
-    roots = enumerate_roots(g)
+    roots = positive_roots(g)
     primes = _NODE_PRIMES
     if g.node_count - 1 > len(primes):
         raise ValueError("graph too large for the prime-denominator draw")
@@ -412,60 +414,30 @@ def _tr_gauss_newton(gs, diags, target, tol, max_iters=500):
 
 
 def _draw_starts(n, count, style, rng):
-    eye = np.eye(n)
+    """count starting conjugators: near the identity (style 1) or random
+    unitaries (style 0)."""
+    noise = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+             for _ in range(count)]
     if style == 0:
-        return [np.linalg.qr(rng.standard_normal((n, n))
-                             + 1j * rng.standard_normal((n, n)))[0]
-                for _ in range(count)]
-    pert = (0.3, 0.6, 1.0, 1.6)[style - 1]
-    return [eye + pert * (rng.standard_normal((n, n))
-                          + 1j * rng.standard_normal((n, n)))
-            for _ in range(count)]
+        return [np.linalg.qr(z)[0] for z in noise]
+    return [np.eye(n) + 0.3 * z for z in noise]
 
 
-def _fit_orbit_sum(target: np.ndarray, specs, rng: np.random.Generator,
-                   styles=(1, 0, 2, 3), max_iters: int = 150,
-                   homotopy: bool = False):
-    """Find A_k in the orbit of specs[k] with sum A_k = target, or None.
-
-    Direct trust-region Gauss-Newton from the given starting styles,
-    optionally followed by a continuation that walks the target from a
-    self-generated solvable sum (whose exact solution is the starting
-    point) to the requested one with warm starts.
-    """
+def _fit_orbit_sum(target: np.ndarray, specs, rng: np.random.Generator):
+    """Find A_k in the orbit of specs[k] with sum A_k = target, or None,
+    by trust-region Gauss-Newton from two starts."""
     n = target.shape[0]
     diags = [np.diag(s.eigen_complex()) for s in specs]
     scale = _fit_scale(target, diags)
 
-    # different instances favour different starting basins, so cycle the
-    # initialisation style
-    for style in styles:
+    # different instances favour different starting basins, so try both
+    # initialisation styles
+    for style in (1, 0):
         gs = _draw_starts(n, len(specs), style, rng)
-        gs, mats, res = _tr_gauss_newton(gs, diags, target, FIT_TOL, max_iters)
+        gs, mats, res = _tr_gauss_newton(gs, diags, target, FIT_TOL,
+                                         max_iters=150)
         if res < FIT_TOL * scale:
             return mats
-
-    if homotopy:
-        for _ in range(2):
-            gs = _draw_starts(n, len(specs), 2, rng)
-            m0 = sum(g @ d @ np.linalg.inv(g) for g, d in zip(gs, diags))
-            t_lo, t_step = 0.0, 0.25
-            t = t_step
-            for _ in range(60):
-                tt = (1 - t) * m0 + t * target
-                gs_new, mats, res = _tr_gauss_newton(gs, diags, tt, FIT_TOL,
-                                                     max_iters=150)
-                if res < FIT_TOL * _fit_scale(tt, diags):
-                    gs = gs_new
-                    if t >= 1.0:
-                        return mats
-                    t_lo, t_step = t, min(t_step * 2, 1.0 - t)
-                    t = min(1.0, t + t_step)
-                else:
-                    t_step /= 2
-                    t = t_lo + t_step
-                    if t_step < 1e-5:
-                        break
     return None
 
 
@@ -486,20 +458,16 @@ def sample_system(type_name: str, seed: int, tol: float = DEFAULT_TOL):
     n = g.delta[g.center]
     eye = np.eye(n)
     pivots = [m - 1] + list(range(m - 1))
-    # escalation ladder: quick pass over all pivot choices, resample lam on
-    # failure (fresh draws are almost always easy), escalate only if several
-    # consecutive draws resist
-    quick = dict(styles=(1, 0), max_iters=150, homotopy=False)
-    heavy = dict(styles=(2, 3, 1, 0), max_iters=400, homotopy=True)
-    for attempt in range(8):
+    # try every pivot choice, then resample lam (fresh draws are almost
+    # always easy)
+    for _ in range(8):
         lam = random_regular_lam(g, rng_exact)
         specs = predicted_specs(g, lam)
         nu_c = ratlin.to_complex(lam[g.center])
-        opts = quick if attempt < 3 else heavy
         for pivot in pivots:
             target = nu_c * eye - np.diag(specs[pivot].eigen_complex())
             others = [s for k, s in enumerate(specs) if k != pivot]
-            fitted = _fit_orbit_sum(target, others, rng_np, **opts)
+            fitted = _fit_orbit_sum(target, others, rng_np)
             if fitted is None:
                 continue
             mats = fitted[:pivot] + [np.diag(specs[pivot].eigen_complex())] \
@@ -522,8 +490,7 @@ def normalize(sys: FuchsianSystem, mode: str) -> FuchsianSystem:
     if mode == "det_zero":
         shifts = [s.first for s in specs]
     elif mode == "trace_zero":
-        shifts = [Fraction(s.trace(), s.size) if isinstance(s.trace(), (int, Fraction))
-                  else s.trace() / s.size for s in specs]
+        shifts = [s.trace() / s.size for s in specs]
     else:
         raise ValueError(f"unknown normalisation {mode!r}")
     if all(c == 0 for c in shifts):

@@ -47,9 +47,6 @@ class DimensionVector:
     def delta(cls, g: StarGraph) -> "DimensionVector":
         return cls(g.delta.coords)
 
-    def as_root(self) -> RootVector:
-        return RootVector(self.coords)
-
 
 # ---------------------------------------------------------------------------
 # representations and the moment map
@@ -127,10 +124,7 @@ def moment_map(rep: QuiverRep) -> dict:
 
 def moment_trace_sum(mu: dict):
     vals = [_trace(m) for m in mu.values()]
-    acc = vals[0]
-    for v in vals[1:]:
-        acc = acc + v
-    return acc
+    return sum(vals[1:], vals[0])
 
 
 def dim_w(g: StarGraph, dims) -> int:
@@ -330,8 +324,7 @@ def permute_params(inc: IncrementedQuiver, lam: ParamVector) -> ParamVector:
 def level(inc_or_dims, lam: ParamVector):
     """lam . Delta for an (incremented) quiver or a raw dimension vector."""
     dims = inc_or_dims.dims if hasattr(inc_or_dims, "dims") else inc_or_dims
-    return dims.as_root().dot(lam.values) if isinstance(dims, DimensionVector) \
-        else RootVector(tuple(dims)).dot(lam.values)
+    return RootVector(tuple(dims)).dot(lam.values)
 
 
 # ---------------------------------------------------------------------------

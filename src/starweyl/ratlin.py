@@ -110,10 +110,6 @@ def to_complex(x):
     return complex(Fraction(x))
 
 
-def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, GaussianRational))
-
-
 def format_rational(q) -> str:
     """Render an exact scalar as "p/q" (rationals) or "p/q+r/si" (Gaussian)."""
     if isinstance(q, GaussianRational):
@@ -221,47 +217,44 @@ def det(a):
     return d if n % 2 == 0 else -d
 
 
-def rank(a):
-    """Rank by fraction-exact Gaussian elimination."""
-    m = [list(row) for row in a]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+def _rref(rows, ncols=None):
+    """Reduced row echelon form by fraction-exact Gauss-Jordan elimination,
+    pivoting in the first ncols columns (all by default).  Returns the
+    reduced rows, as lists, and the pivot columns."""
+    m = [list(row) for row in rows]
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
+        for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivots.append(c)
+    return m, pivots
+
+
+def rank(a):
+    """Rank by fraction-exact Gauss-Jordan elimination."""
+    return len(_rref(a)[1])
 
 
 def solve(a, b):
     """Solve a @ x = b for square invertible a; b is a matrix (tuple rows)."""
     n = len(a)
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    w = len(aug[0])
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix in exact solve")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:w]) for row in aug)
+    m, pivots = _rref([list(ra) + list(rb) for ra, rb in zip(a, b)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix in exact solve")
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def inv(a):
@@ -270,31 +263,14 @@ def inv(a):
 
 def nullspace(a):
     """Basis of the right kernel, as a tuple of vectors."""
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        invp = 1 / m[r][c]
-        m[r] = [x * invp for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in piv_cols]
+    m, pivots = _rref(a)
+    cols = len(a[0]) if a else 0
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -m[i][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return tuple(basis)
 

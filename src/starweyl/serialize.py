@@ -1,19 +1,22 @@
 """Versioned JSON schemas shared by the library and the CLI.
 
-Exact rationals are "p/q" strings (Gaussian rationals "a/b+c/di"),
-complex floats are [re, im] pairs, complex matrices nested lists of such
-pairs.  Every emitted document round-trips losslessly: exact fields stay
-exact, floats go through repr (shortest round-trip form).
+Exact scalars (lam, nu, offsets, word shifts) are "p/q" strings (Gaussian
+rationals "a/b+c/di") and are read from such strings or JSON integers
+only; complex floats (poles, residues) are [re, im] pairs, complex
+matrices nested lists of such pairs.  Every emitted document round-trips
+losslessly: exact fields stay exact, floats go through repr (shortest
+round-trip form).  Readers raise InputFormatError on malformed input.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .dynkin import ParamVector, StarGraph
+from .dynkin import AFFINE_LEGS, ParamVector, StarGraph
 from .errors import InputFormatError
 from .fuchsian import DEFAULT_TOL, FuchsianSystem, make_system
 from .quiver import DimensionVector, QuiverRep
@@ -27,24 +30,16 @@ LAM_SCHEMA = "starweyl/lam-v1"
 REP_SCHEMA = "starweyl/quiver-rep-v1"
 
 
-def _scalar_out(x):
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return format_rational(x)
-    z = complex(x)
-    return [z.real, z.imag]
-
-
 def _scalar_in(x):
+    """An exact scalar from a "p/q" string or a JSON integer."""
     if isinstance(x, str):
         try:
             return parse_rational(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"cannot parse rational {x!r}: {exc}")
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    if isinstance(x, (int, float)):
-        return Fraction(x) if isinstance(x, int) else float(x)
-    raise InputFormatError(f"cannot parse scalar {x!r}")
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise InputFormatError(f"expected a \"p/q\" string or an integer, got {x!r}")
 
 
 def matrix_out(a) -> list:
@@ -56,17 +51,17 @@ def matrix_in(rows) -> np.ndarray:
     try:
         return np.array([[complex(c[0], c[1]) for c in row] for row in rows],
                         dtype=complex)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, OverflowError) as exc:
         raise InputFormatError(f"malformed complex matrix: {exc}")
 
 
 def lam_out(lam: ParamVector) -> dict:
     return {"schema": LAM_SCHEMA, "field": lam.field,
-            "values": [_scalar_out(v) for v in lam.values]}
+            "values": [format_rational(v) for v in lam.values]}
 
 
 def lam_in(doc) -> ParamVector:
-    if not isinstance(doc, dict) or "values" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("values"), list):
         raise InputFormatError("parameter document needs a 'values' list")
     return ParamVector(tuple(_scalar_in(v) for v in doc["values"]))
 
@@ -77,9 +72,9 @@ def system_out(sys: FuchsianSystem) -> dict:
         "type": sys.graph.affine_type,
         "legs": list(sys.graph.legs),
         "poles": [[p.real, p.imag] for p in sys.poles],
-        "nu": _scalar_out(sys.nu),
+        "nu": format_rational(sys.nu),
         "lam": lam_out(sys.lam),
-        "offsets": [_scalar_out(o) for o in sys.offsets],
+        "offsets": [format_rational(o) for o in sys.offsets],
         "normalization": sys.normalization,
         "tol": sys.tol,
         "residues": [matrix_out(a) for a in sys.residues],
@@ -87,19 +82,33 @@ def system_out(sys: FuchsianSystem) -> dict:
 
 
 def system_in(doc) -> FuchsianSystem:
+    """The verified system of a document: a malformed one raises
+    InputFormatError, residues off their orbits DegeneracyError."""
     if not isinstance(doc, dict) or doc.get("schema") != SYSTEM_SCHEMA:
         raise InputFormatError(f"expected a {SYSTEM_SCHEMA} document")
     try:
-        graph = StarGraph(tuple(doc["legs"]))
+        legs = tuple(doc["legs"])
+        if legs not in AFFINE_LEGS.values():
+            raise InputFormatError(f"legs {list(legs)} are not an affine signature")
+        graph = StarGraph(legs)
+        n = graph.delta[graph.center]
         poles = tuple(complex(p[0], p[1]) for p in doc["poles"])
         lam = lam_in(doc["lam"])
         offsets = tuple(_scalar_in(o) for o in doc["offsets"])
         residues = [matrix_in(m) for m in doc["residues"]]
         tol = float(doc.get("tol", DEFAULT_TOL))
-    except (KeyError, TypeError, ValueError) as exc:
+        if not 0 < tol < math.inf:
+            raise InputFormatError(f"tol must be positive and finite, got {tol}")
+        if len(residues) != graph.num_legs or \
+                any(a.shape != (n, n) for a in residues):
+            raise InputFormatError(f"legs {list(legs)} need {graph.num_legs} "
+                                   f"residues of size {n} x {n}")
+        if not (np.isfinite(poles).all() and np.isfinite(residues).all()):
+            raise InputFormatError("poles and residues must be finite")
+        return make_system(graph, poles, residues[:-1], lam, offsets=offsets,
+                           tol=tol)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InputFormatError(f"malformed system document: {exc}")
-    return make_system(graph, poles, residues[:-1], lam, offsets=offsets,
-                       tol=tol)
 
 
 def config_out(p: PointConfig) -> dict:
@@ -187,8 +196,8 @@ def word_out(tags) -> dict:
     out = []
     for tag in tags:
         if tag[0] in ("tensor", "relabel", "translate"):
-            out.append([tag[0], [int(x) if isinstance(x, int) else _scalar_out(x)
-                                 for x in tag[1]]])
+            out.append([tag[0], [int(x) if isinstance(x, int)
+                                 else format_rational(x) for x in tag[1]]])
         elif tag[0] == "leg":
             out.append(["leg", int(tag[1])])
         else:
@@ -210,8 +219,8 @@ def word_in(doc):
             elif kind == "central":
                 tags.append(("central",))
             elif kind in ("tensor", "relabel", "translate"):
-                tags.append((kind, tuple(_scalar_in(x) if isinstance(x, str)
-                                         else int(x) for x in tag[1])))
+                tags.append((kind, tuple(x if type(x) is int else _scalar_in(x)
+                                         for x in tag[1])))
             else:
                 raise InputFormatError(f"unknown word tag {kind!r}")
         except (IndexError, KeyError, TypeError, ValueError) as exc:
@@ -226,5 +235,5 @@ def dumps(doc) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise InputFormatError(f"invalid JSON: {exc}")

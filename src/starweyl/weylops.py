@@ -146,10 +146,9 @@ class IncrementedPair:
         breves = self.breve_specs()
         hat = self.hat_spec()
         # trace compatibility encodes lam . Delta = 0
-        if self.lam_plus.exact:
-            total = sum((s.trace() for s in breves), Fraction(0))
-            if total != hat.trace():
-                raise ValueError("trace compatibility fails: lam . Delta != 0")
+        total = sum((s.trace() for s in breves), Fraction(0))
+        if total != hat.trace():
+            raise ValueError("trace compatibility fails: lam . Delta != 0")
         worst = max([char_poly_error(self.qp, hat.eigen_list())]
                     + [char_poly_error(self.p[sl, :] @ self.q[:, sl],
                                        spec.eigen_list())
@@ -216,7 +215,7 @@ def project(pair: IncrementedPair) -> FuchsianSystem:
     pr(lam).  Requires the central component of lam to vanish so that QP
     has a simple zero eigenvalue."""
     g = pair.inc.graph
-    if pair.lam_plus.exact and pair.lam_plus[g.center] != 0:
+    if pair.lam_plus[g.center] != 0:
         raise ValueError("project requires a zero central parameter; "
                          "apply scalar_shift first")
     hat = pair.hat_spec()
@@ -261,7 +260,7 @@ def central_reflection(sys: FuchsianSystem) -> FuchsianSystem:
     pair = scalar_shift(pair, -nu)
     out = project(pair)
     expected = reflect_param(g, g.center, sys0.lam)
-    if out.lam.exact and out.lam.values != expected.values:
+    if out.lam.values != expected.values:
         raise AssertionError("central reflection parameter track mismatch")
     return out
 

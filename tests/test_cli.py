@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starweyl import serialize
 from starweyl.fuchsian import sample_system, signature
@@ -127,31 +133,114 @@ def _word(*tags):
     return {"schema": serialize.WORD_SCHEMA, "tags": list(tags)}
 
 
+@functools.cache
+def _d4_document():
+    return serialize.system_out(sample_system("D4", 2)[0])
+
+
+_NAN = float("nan")
+_ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
 @pytest.mark.parametrize("kind, doc", [
     ("word", _word(["leg"])),
     ("word", _word(["leg", 0])),
     ("word", _word(["leg", 99])),
     ("word", {"schema": serialize.WORD_SCHEMA, "tags": 5}),
+    ("word", _word(["tensor", [0.5, 0, 0]])),
     ("config", {"schema": serialize.CONFIG_SCHEMA, "points": ["1/2", "1/3"]}),
     ("lam", {"schema": serialize.LAM_SCHEMA,
              "values": ["1/0", "0", "0", "0", "0"]}),
+    ("lam", {"schema": serialize.LAM_SCHEMA,
+             "values": ["1", "0", "0", "0", "0"]}),
+    ("system", {"lam": {"values": [[0.5, 0.0]] * 5}}),
+    ("system", {"offsets": [[0.0, 0.0]] * 4}),
+    ("system", {"lam": {"values": ["0"] * 4}}),
+    ("system", {"offsets": ["0", "0"]}),
+    ("system", {"legs": [1, 1]}),
+    ("system", {"legs": [2, 2, 2]}),
+    ("system", {"legs": [1, 1, 1, 120]}),
+    ("system", {"poles": [[0.0, 0.0]]}),
+    ("system", {"poles": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}),
+    ("system", {"residues": [[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]] * 4}),
+    ("system", {"residues": []}),
+    ("system", {"residues": [[[[_NAN, 0.0], [0.0, 0.0]], _ZERO_2X2[1]]]
+                + [_ZERO_2X2] * 3}),
+    ("system", {"tol": -1}),
+    ("system", {"tol": 0}),
+    ("system", {"lam": {"values": [0.5, -0.25, -0.25, -0.25, -0.25]}}),
+    ("system", {"offsets": [0.0] * 4}),
+    ("sample", "-1"),
+    ("sample", "0"),
 ], ids=["leg-without-node", "leg-center", "leg-out-of-range", "tags-not-a-list",
-        "two-point-config", "lam-zero-denominator"])
+        "float-tensor-shift",
+        "two-point-config", "lam-zero-denominator", "lam-off-level-zero",
+        "lam-pairs", "offset-pairs", "lam-wrong-length", "offsets-too-short",
+        "legs-1-1", "legs-2-2-2", "legs-1-1-1-120", "one-pole",
+        "duplicate-poles", "non-square-residues", "no-residues", "nan-residue",
+        "negative-tol", "zero-tol", "float-lam", "float-offsets",
+        "sample-negative-tol", "sample-zero-tol"])
 def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     path = tmp_path / f"{kind}.json"
+    if kind == "system":
+        doc = {**_d4_document(), **doc}
     path.write_text(json.dumps(doc))
-    if kind == "word":
+    if kind in ("word", "system"):
+        word = tmp_path / "leg1.json"
+        word.write_text(json.dumps(_word(["leg", 1])))
         sysfile = tmp_path / "sys.json"
-        sysfile.write_text(serialize.dumps(
-            serialize.system_out(sample_system("D4", 2)[0])))
-        out = run_cli("apply", "--system", str(sysfile), "--word", str(path))
+        sysfile.write_text(serialize.dumps(_d4_document()))
+        if kind == "word":
+            out = run_cli("apply", "--system", str(sysfile), "--word", str(path))
+        else:
+            out = run_cli("apply", "--system", str(path), "--word", str(word))
     elif kind == "config":
         out = run_cli("sakai", "--config", str(path), "--mu", "[1,0]")
+    elif kind == "sample":
+        out = run_cli("sample", "--type", "D4", "--tol", doc)
     else:
         out = run_cli("regular", "--type", "D4", "--lam-file", str(path))
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("input error: ")
     assert len(out.stderr.splitlines()) == 1 and out.stdout == ""
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+# places in a D4 document: a top-level field, one entry of a list field,
+# or one complex entry of one residue
+_PLACES = (
+    [(key,) for key in ("schema", "type", "legs", "poles", "nu", "lam",
+                        "offsets", "normalization", "tol", "residues")]
+    + [("legs", 0), ("poles", 1), ("lam", "values"), ("lam", "values", 3),
+       ("offsets", 2), ("residues", 1), ("residues", 0, 1), ("residues", 2, 0, 1),
+       ("residues", 3, 1, 0, 0)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(place=st.sampled_from(_PLACES), value=_JSON)
+def test_any_mutated_system_document_exits_0_2_or_3(tmp_path_factory, place,
+                                                     value):
+    doc = copy.deepcopy(_d4_document())
+    parent = doc
+    for key in place[:-1]:
+        parent = parent[key]
+    parent[place[-1]] = value
+    work = tmp_path_factory.mktemp("doc")
+    sysfile, word = work / "sys.json", work / "word.json"
+    sysfile.write_text(json.dumps(doc))
+    word.write_text(json.dumps(_word(["leg", 1])))
+    from starweyl import cli
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["apply", "--system", str(sysfile), "--word",
+                         str(word)])
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def test_orbit_failure_exits_3_naming_the_step(tmp_path, monkeypatch, capsys):

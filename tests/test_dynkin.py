@@ -19,6 +19,7 @@ from starweyl.dynkin import (
     is_regular,
     lattice_index,
     leg_permutations,
+    positive_roots,
     permute_param,
     reflect_param,
     reflect_root,
@@ -29,6 +30,7 @@ from starweyl.dynkin import (
     weight_lattice_member,
     weyl_orbit,
 )
+from starweyl.ratlin import GaussianRational
 
 # marks of the extended Dynkin diagrams (McKay graph dimensions):
 # centre first, then the legs in canonical order, outward
@@ -143,6 +145,23 @@ def test_root_enumeration_counts_and_norms(name):
     # closed under negation
     coords = {root.coords for root in roots}
     assert all(tuple(-x for x in c) in coords for c in coords)
+    # the positive roots come first, one of each pair r, -r
+    pos = positive_roots(g)
+    assert len(pos) == hyperplane_count(g)
+    assert all(min(root.coords) >= 0 for root in pos)
+    assert {(-root).coords for root in pos} == \
+        {root.coords for root in roots[len(pos):]}
+
+
+def test_param_vector_is_exact_by_construction():
+    gq = GaussianRational(F(1, 2), F(-1, 3))
+    lam = ParamVector((1, F(2, 3), gq))
+    assert lam.values == (F(1), F(2, 3), gq)
+    assert type(lam[0]) is F and lam.field == "Qi"
+    assert ParamVector((1, F(-1, 2))).field == "Q"
+    for bad in (0.5, 1j, "1/2", None):
+        with pytest.raises(TypeError):
+            ParamVector((F(1), bad))
 
 
 def test_is_regular_examples():

@@ -102,6 +102,16 @@ def test_sampling_is_deterministic():
     assert all((x == y).all() for x, y in zip(a.residues, b.residues))
 
 
+def test_specs_are_computed_once_per_system():
+    sysm, _ = sample_system("E6", seed=2)
+    assert sysm.specs is sysm.specs
+    assert sysm.specs == predicted_specs(sysm.graph, sysm.lam, sysm.offsets)
+    moved = normalize(sysm, "trace_zero")
+    assert moved.specs is not sysm.specs
+    assert moved.specs == predicted_specs(moved.graph, moved.lam,
+                                          moved.offsets)
+
+
 def test_normalize_modes_and_round_trip():
     sysm, _ = sample_system("E6", seed=2)
     assert normalize(sysm, "det_zero") is sysm  # already there

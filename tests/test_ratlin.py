@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starweyl import ratlin
 from starweyl.ratlin import GaussianRational as GR
@@ -24,6 +26,16 @@ def test_gaussian_arithmetic():
 def test_rational_string_roundtrip(s):
     v = ratlin.parse_rational(s)
     assert ratlin.parse_rational(ratlin.format_rational(v)) == v
+
+
+_Q = st.fractions(max_denominator=10 ** 6)
+
+
+@given(st.one_of(_Q, st.builds(GR, _Q, _Q)))
+def test_format_parse_rational_round_trip(q):
+    text = ratlin.format_rational(q)
+    back = ratlin.parse_rational(text)
+    assert back == q and ratlin.format_rational(back) == text
 
 
 def test_charpoly_matches_known_roots():
@@ -70,3 +82,38 @@ def test_poly_eval():
     assert ratlin.poly_eval(p, F(2)) == 0
     assert ratlin.poly_eval(p, F(-1, 3)) == 0
     assert ratlin.poly_eval(p, F(0)) == F(-2, 9)
+
+
+_SMALL_Q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(_SMALL_Q, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(ratlin.mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.integers(1, 5).flatmap(lambda c: _matrix(n, c)),
+    _matrix(n, n), _matrix(n, 2))))
+def test_elimination_rank_kernel_and_solve(mats):
+    a, sq, b = mats
+    ker = ratlin.nullspace(a)
+    assert ratlin.rank(a) + len(ker) == len(a[0])
+    zero = (F(0),) * len(a)
+    assert all(ratlin.mvec(a, v) == zero for v in ker)
+    # det comes from the characteristic polynomial, not from elimination
+    if ratlin.det(sq) == 0:
+        assert ratlin.rank(sq) < len(sq)
+        with pytest.raises(ZeroDivisionError):
+            ratlin.solve(sq, b)
+    else:
+        assert ratlin.mmul(sq, ratlin.solve(sq, b)) == b
+
+
+def test_solve_rejects_singular_matrix():
+    sing = ratlin.mat([[F(1), F(2)], [F(2), F(4)]])
+    with pytest.raises(ZeroDivisionError):
+        ratlin.solve(sing, ratlin.identity(2))
+    with pytest.raises(ZeroDivisionError):
+        ratlin.inv(sing)
