@@ -8,7 +8,6 @@ is seeded, logs go to stderr, data to stdout or --out.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
@@ -105,8 +104,7 @@ def cmd_regular(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if not 0 < args.tol < math.inf:
-        raise InputFormatError("--tol must be positive and finite")
+    serialize.tol_in(args.tol, "--tol")
     sysm, lam = sample_system(args.type, args.seed, tol=args.tol)
     err = sysm.verify()
     _log(f"sampled {args.type} system, seed {args.seed}")

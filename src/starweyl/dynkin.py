@@ -18,13 +18,16 @@ Both are implemented exactly (Fraction / GaussianRational entries).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .ratlin import GaussianRational, mat, nullspace, smith_diagonal, to_complex
+import numpy as np
+
+from .ratlin import GaussianRational, mat, nullspace, smith_diagonal
 
 AFFINE_LEGS = {
     "D4": (1, 1, 1, 1),
@@ -119,23 +122,12 @@ class StarGraph:
 
     @cached_property
     def cartan(self) -> "CartanMatrix":
-        return cartan_matrix(self)
+        return _cartan(self.legs)
 
     @cached_property
     def delta(self) -> "RootVector":
         """Primitive integer kernel vector of the Cartan matrix (affine only)."""
-        ker = nullspace(mat([[Fraction(x) for x in row]
-                             for row in self.cartan.entries]))
-        if len(ker) != 1:
-            raise ValueError("graph is not of affine type: ker C is not a line")
-        denom = math.lcm(*(x.denominator for x in ker[0]))
-        ints = [int(x * denom) for x in ker[0]]
-        g = math.gcd(*ints)
-        ints = [x // g for x in ints]
-        if ints[self.extending] < 0:
-            ints = [-x for x in ints]
-        assert ints[self.extending] == 1 and all(x > 0 for x in ints)
-        return RootVector(tuple(ints))
+        return _delta(self.legs)
 
     @property
     def finite_nodes(self) -> tuple[int, ...]:
@@ -181,6 +173,32 @@ def cartan_matrix(g: StarGraph) -> CartanMatrix:
     c = tuple(tuple((2 if i == j else 0) - a[i][j] for j in range(n))
               for i in range(n))
     return CartanMatrix(c)
+
+
+# Tables per leg signature: every StarGraph with the same legs (built by
+# StarGraph.affine, serialize.system_in or sakai.dynkin_graph) shares them.
+
+
+@functools.lru_cache(maxsize=64)
+def _cartan(legs: tuple[int, ...]) -> CartanMatrix:
+    return cartan_matrix(StarGraph(legs))
+
+
+@functools.lru_cache(maxsize=64)
+def _delta(legs: tuple[int, ...]) -> "RootVector":
+    g = StarGraph(legs)
+    ker = nullspace(mat([[Fraction(x) for x in row]
+                         for row in g.cartan.entries]))
+    if len(ker) != 1:
+        raise ValueError("graph is not of affine type: ker C is not a line")
+    denom = math.lcm(*(x.denominator for x in ker[0]))
+    ints = [int(x * denom) for x in ker[0]]
+    d = math.gcd(*ints)
+    ints = [x // d for x in ints]
+    if ints[g.extending] < 0:
+        ints = [-x for x in ints]
+    assert ints[g.extending] == 1 and all(x > 0 for x in ints)
+    return RootVector(tuple(ints))
 
 
 def finite_cartan(g: StarGraph) -> tuple[tuple[int, ...], ...]:
@@ -318,16 +336,20 @@ def _resolve_graph(type_or_graph) -> StarGraph:
     return StarGraph.affine(type_or_graph)
 
 
-def enumerate_roots(type_or_graph) -> tuple[RootVector, ...]:
-    """All roots of the finite system, as coefficient vectors in the
-    simple-root basis indexed by the non-extending nodes.
+@dataclass(frozen=True)
+class RootTable:
+    """The finite roots of one leg signature, built once per process."""
 
-    Breadth-first closure of the simple roots under the simple reflections;
-    no type-specific tables.  Sorted in decreasing lexicographic order, so
-    every positive root comes before every negative one.
-    """
-    g = _resolve_graph(type_or_graph)
-    c = finite_cartan(g)
+    roots: tuple[RootVector, ...]   # enumerate_roots order, positives first
+    matrix: np.ndarray              # the same roots as rows of int64 entries
+    weight: int                     # largest sum of |coefficients| of a root
+
+
+@functools.lru_cache(maxsize=64)
+def _root_table(legs: tuple[int, ...]) -> RootTable:
+    """Breadth-first closure of the simple roots under the simple
+    reflections, with no data special to a type."""
+    c = finite_cartan(StarGraph(legs))
     r = len(c)
     simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
     seen = set(simple)
@@ -345,7 +367,20 @@ def enumerate_roots(type_or_graph) -> tuple[RootVector, ...]:
                     nxt.append(refl)
         frontier = nxt
     roots = sorted(seen, reverse=True)
-    return tuple(RootVector(v) for v in roots)
+    matrix = np.array(roots, dtype=np.int64)
+    matrix.setflags(write=False)
+    return RootTable(tuple(RootVector(v) for v in roots), matrix,
+                     int(np.abs(matrix).sum(axis=1).max()))
+
+
+def enumerate_roots(type_or_graph) -> tuple[RootVector, ...]:
+    """All roots of the finite system, as coefficient vectors in the
+    simple-root basis indexed by the non-extending nodes.
+
+    Sorted in decreasing lexicographic order, so every positive root comes
+    before every negative one.
+    """
+    return _root_table(_resolve_graph(type_or_graph).legs).roots
 
 
 def positive_roots(type_or_graph) -> tuple[RootVector, ...]:
@@ -364,23 +399,53 @@ def root_norm(g: StarGraph, root: RootVector) -> int:
 def root_pairing(root: RootVector, lam: ParamVector):
     """((lam, root)) = sum_i c_i lam_i over the non-extending nodes.
 
-    Valid for level-zero lam, where ((lam, alpha_i)) = lam_i.
+    Valid for level-zero lam, where ((lam, alpha_i)) = lam_i.  The
+    single-root reference for root_pairings.
     """
     return sum((c * lam[i] for i, c in enumerate(root.coords)), Fraction(0))
 
 
+def root_pairings(g: StarGraph, lam: ParamVector) -> tuple[np.ndarray, int]:
+    """((lam, root)) for every root of enumerate_roots(g), exactly, as one
+    integer matrix product.
+
+    Returns (num, den): row k of num holds the integer real and imaginary
+    parts of the k-th pairing times den, the common denominator of the
+    finite entries of lam.  num is int64 when no product or sum can
+    overflow it and holds Python ints (dtype object) otherwise.
+    """
+    table = _root_table(g.legs)
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+             for v in lam.values[:table.matrix.shape[1]]]
+    den = math.lcm(*(x.denominator for pair in parts for x in pair))
+    ints = [[x.numerator * (den // x.denominator) for x in pair]
+            for pair in parts]
+    if table.weight * max(abs(x) for pair in ints for x in pair) < 2 ** 63:
+        return table.matrix @ np.array(ints, dtype=np.int64), den
+    return table.matrix.astype(object) @ np.array(ints, dtype=object), den
+
+
 def smallest_root_pairing(g: StarGraph, lam: ParamVector) -> float:
     """min |((lam, root))| over the finite roots: how far lam sits from the
-    nearest root hyperplane (0 on a wall)."""
-    return min(abs(to_complex(root_pairing(r, lam)))
-               for r in positive_roots(g))
+    nearest root hyperplane (0 on a wall).
+
+    Equal, bit for bit, to the minimum of abs(to_complex(root_pairing)):
+    rounding a rational is monotone, and int / int rounds correctly.
+    """
+    num, den = root_pairings(g, lam)
+    pos = num[:len(num) // 2]
+    if (pos[:, 1] == 0).all():
+        return int(np.abs(pos[:, 0]).min()) / den
+    return min(abs(complex(int(re) / den, int(im) / den)) for re, im in pos)
 
 
 def is_regular(g: StarGraph, lam: ParamVector):
     """(flag, violated roots): flag is True iff no root pairing vanishes."""
     if not lam.is_level_zero(g.delta):
         raise ValueError("is_regular expects a level-zero parameter vector")
-    violated = tuple(r for r in enumerate_roots(g) if root_pairing(r, lam) == 0)
+    num, _ = root_pairings(g, lam)
+    zero = (num == 0).all(axis=1)
+    violated = tuple(r for r, z in zip(enumerate_roots(g), zero) if z)
     return (len(violated) == 0, violated)
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlin
-from .dynkin import ParamVector, StarGraph
+from .dynkin import ParamVector, StarGraph, smallest_root_pairing
 from .errors import DegenerateSampleError, DegeneracyError
 
 # Tolerances, one name per decision (weylops, serialize and cli import them);
@@ -33,6 +33,7 @@ DEFAULT_TOL = 1e-9      # verify(): worst char-poly distance a witness may show
 ORBIT_TOL = 1e-8        # floor for orbits, whose witnesses lose digits near walls
 SUM_TOL = 1e-10         # residues sum to nu * Id (share of their total norm)
 ZERO_CUTOFF = 1e-6      # eigen/singular values below this share of the largest are 0
+MAX_TOL = ZERO_CUTOFF   # largest tol a document may set: it is also lift's rank cutoff
 PAIRING_FLOOR = 1e-8    # smallest overlap |w.v| of a Schlesinger projector
 GAUGE_TOL = 1e-8        # gauge check at test points (share of the residues' norm)
 POLISH_TRIGGER = 1e-9   # drift after a Schlesinger move that forces re-anchoring
@@ -301,10 +302,8 @@ def random_regular_lam(g: StarGraph, rng: random.Random) -> ParamVector:
     top of that, root pairings must stay ROOT_MARGIN away from zero and the
     within-pole differences INTEGER_MARGIN away from integers, to keep the
     draw a well-conditioned floating-point witness."""
-    from .dynkin import positive_roots, root_pairing
     delta = g.delta
     c = g.center
-    roots = positive_roots(g)
     primes = _NODE_PRIMES
     if g.node_count - 1 > len(primes):
         raise ValueError("graph too large for the prime-denominator draw")
@@ -325,7 +324,7 @@ def random_regular_lam(g: StarGraph, rng: random.Random) -> ParamVector:
         lam = ParamVector(tuple(vals))
         if lam[c] == 0:
             continue
-        if min(abs(float(root_pairing(r, lam))) for r in roots) < ROOT_MARGIN:
+        if smallest_root_pairing(g, lam) < ROOT_MARGIN:
             continue
         diffs = []
         for spec in predicted_specs(g, lam):

@@ -10,15 +10,15 @@ round-trip form).  Readers raise InputFormatError on malformed input.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .dynkin import AFFINE_LEGS, ParamVector, StarGraph
 from .errors import InputFormatError
-from .fuchsian import DEFAULT_TOL, FuchsianSystem, make_system
+from .fuchsian import DEFAULT_TOL, MAX_TOL, FuchsianSystem, make_system
 from .quiver import DimensionVector, QuiverRep
 from .ratlin import GaussianRational, format_rational, parse_rational
 from .sakai import PointConfig
@@ -40,6 +40,17 @@ def _scalar_in(x):
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise InputFormatError(f"expected a \"p/q\" string or an integer, got {x!r}")
+
+
+def tol_in(x, name: str = "tol") -> float:
+    """A verification tolerance: a number (not a boolean) in (0, MAX_TOL]."""
+    if isinstance(x, bool):
+        raise InputFormatError(f"{name} must be a number, got {x!r}")
+    tol = float(x)
+    if not 0 < tol <= MAX_TOL:
+        raise InputFormatError(
+            f"{name} must be positive and at most {MAX_TOL:g}, got {tol}")
+    return tol
 
 
 def matrix_out(a) -> list:
@@ -96,15 +107,20 @@ def system_in(doc) -> FuchsianSystem:
         lam = lam_in(doc["lam"])
         offsets = tuple(_scalar_in(o) for o in doc["offsets"])
         residues = [matrix_in(m) for m in doc["residues"]]
-        tol = float(doc.get("tol", DEFAULT_TOL))
-        if not 0 < tol < math.inf:
-            raise InputFormatError(f"tol must be positive and finite, got {tol}")
+        tol = tol_in(doc.get("tol", DEFAULT_TOL))
         if len(residues) != graph.num_legs or \
                 any(a.shape != (n, n) for a in residues):
             raise InputFormatError(f"legs {list(legs)} need {graph.num_legs} "
                                    f"residues of size {n} x {n}")
         if not (np.isfinite(poles).all() and np.isfinite(residues).all()):
             raise InputFormatError("poles and residues must be finite")
+        # Schlesinger moves divide by pole differences and by their ratios;
+        # equal poles are left to verify()
+        diffs = [a - b for a, b in itertools.combinations(poles, 2)] + [1]
+        if all(diffs) and not np.isfinite([d / e for d in diffs
+                                           for e in diffs]).all():
+            raise InputFormatError("pole differences, their reciprocals and "
+                                   "their ratios must be finite")
         return make_system(graph, poles, residues[:-1], lam, offsets=offsets,
                            tol=tol)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

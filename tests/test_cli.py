@@ -166,20 +166,28 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("system", {"residues": []}),
     ("system", {"residues": [[[[_NAN, 0.0], [0.0, 0.0]], _ZERO_2X2[1]]]
                 + [_ZERO_2X2] * 3}),
+    ("system", {"poles": [[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]]}),
+    ("system", {"poles": [[1e300, 0.0], [1e-300, 0.0], [0.0, 0.0]]}),
+    ("system", {"poles": [[1e-310, 0.0], [0.0, 0.0], [1.0, 0.0]]}),
     ("system", {"tol": -1}),
     ("system", {"tol": 0}),
+    ("system", {"tol": 1e300}),
+    ("system", {"tol": True}),
     ("system", {"lam": {"values": [0.5, -0.25, -0.25, -0.25, -0.25]}}),
     ("system", {"offsets": [0.0] * 4}),
     ("sample", "-1"),
     ("sample", "0"),
+    ("sample", "1e300"),
 ], ids=["leg-without-node", "leg-center", "leg-out-of-range", "tags-not-a-list",
         "float-tensor-shift",
         "two-point-config", "lam-zero-denominator", "lam-off-level-zero",
         "lam-pairs", "offset-pairs", "lam-wrong-length", "offsets-too-short",
         "legs-1-1", "legs-2-2-2", "legs-1-1-1-120", "one-pole",
         "duplicate-poles", "non-square-residues", "no-residues", "nan-residue",
-        "negative-tol", "zero-tol", "float-lam", "float-offsets",
-        "sample-negative-tol", "sample-zero-tol"])
+        "far-apart-poles", "pole-ratio-overflow", "near-poles",
+        "negative-tol", "zero-tol", "huge-tol", "boolean-tol",
+        "float-lam", "float-offsets",
+        "sample-negative-tol", "sample-zero-tol", "sample-huge-tol"])
 def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     path = tmp_path / f"{kind}.json"
     if kind == "system":

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starweyl.dynkin import (
     AFFINE_TYPES,
@@ -26,11 +28,14 @@ from starweyl.dynkin import (
     root_form,
     root_norm,
     root_pairing,
+    root_pairings,
+    smallest_root_pairing,
     weight_lattice_basis,
     weight_lattice_member,
     weyl_orbit,
 )
-from starweyl.ratlin import GaussianRational
+from starweyl.fuchsian import random_regular_lam
+from starweyl.ratlin import GaussianRational, format_rational, to_complex
 
 # marks of the extended Dynkin diagrams (McKay graph dimensions):
 # centre first, then the legs in canonical order, outward
@@ -153,6 +158,93 @@ def test_root_enumeration_counts_and_norms(name):
         {root.coords for root in roots[len(pos):]}
 
 
+# small entries put lam on root hyperplanes often; denominators near 10**30
+# push the pairing kernel onto its Python-int path
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_HUGE = st.builds(F, st.integers(-10 ** 31, 10 ** 31),
+                  st.integers(10 ** 29, 10 ** 31))
+_RATIONAL = _SMALL | _HUGE | st.sampled_from([F(0)])
+_GAUSSIAN = st.builds(GaussianRational, _RATIONAL, _RATIONAL)
+
+
+@st.composite
+def _level_zero(draw, field):
+    """(graph, level-zero lam over Q or Q(i))."""
+    g = StarGraph.affine(draw(st.sampled_from(AFFINE_TYPES)))
+    entry = _RATIONAL if field == "Q" else _RATIONAL | _GAUSSIAN
+    vals = [draw(entry) for _ in range(g.node_count - 1)]
+    delta = g.delta
+    vals.append(-sum((d * v for d, v in zip(delta.coords, vals)), F(0))
+                / delta[g.extending])
+    return g, ParamVector(tuple(vals))
+
+
+def _parts(x):
+    return (x.re, x.im) if isinstance(x, GaussianRational) else (x, F(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["Q", "Qi"]).flatmap(_level_zero))
+def test_root_pairings_match_the_single_root_reference(case):
+    g, lam = case
+    roots = enumerate_roots(g)
+    exact = [root_pairing(r, lam) for r in roots]
+    num, den = root_pairings(g, lam)
+    assert num.shape == (len(roots), 2)
+    for (re, im), p in zip(num, exact):
+        assert (F(int(re), den), F(int(im), den)) == _parts(p)
+    flag, violated = is_regular(g, lam)
+    want = tuple(r for r, p in zip(roots, exact) if p == 0)
+    assert violated == want and flag == (not want)
+    assert smallest_root_pairing(g, lam) == min(
+        abs(to_complex(root_pairing(r, lam))) for r in positive_roots(g))
+
+
+def test_root_pairings_switch_to_python_ints_past_int64():
+    g = StarGraph.affine("E8")
+    small = rand_level_zero(g, random.Random(29))
+    assert root_pairings(g, small)[0].dtype == "int64"
+    eps = F(1, 10 ** 30 + 7)
+    huge = small.replace(1, small[1] + eps).replace(
+        g.extending, small[g.extending] - g.delta[1] * eps)
+    assert huge.is_level_zero(g.delta)
+    num, den = root_pairings(g, huge)
+    assert num.dtype == object and den > 2 ** 63
+    assert [F(int(x), den) for x in num[:, 0]] == \
+        [root_pairing(r, huge) for r in enumerate_roots(g)]
+
+
+# lam that random_regular_lam drew when it scored each root with
+# root_pairing, on seeds (sample_system's rng) where the root margin rejects
+# at least one draw, and D4 seed 0
+PINNED_LAMS = (
+    (("D4", 0), ("-5561/2310", "11/3", "1/5", "-8/7", "23/11")),
+    (("D4", 35), ("2342/1155", "-4/3", "-14/5", "-2/7", "4/11")),
+    (("E6", 5), ("-508553/765765", "-10/3", "3/5", "20/7", "35/11", "-2/13",
+                 "-9/17")),
+    (("E7", 8), ("-52549139/19399380", "5/3", "17/5", "-13/7", "-29/11",
+                 "7/13", "-14/17", "70/19")),
+    (("E8", 6), ("112766398/111546435", "-7/3", "-16/5", "-5/7", "-42/11",
+                 "46/13", "57/17", "64/19", "76/23")),
+)
+
+
+@pytest.mark.parametrize("key, values", PINNED_LAMS,
+                         ids=[f"{t}-{s}" for (t, s), _ in PINNED_LAMS])
+def test_random_regular_lam_is_pinned(key, values):
+    t, s = key
+    lam = random_regular_lam(StarGraph.affine(t),
+                             random.Random(f"starweyl/{t}/{s}"))
+    assert tuple(format_rational(v) for v in lam.values) == values
+
+
+def test_tables_are_shared_per_leg_signature():
+    a, b = StarGraph.affine("E7"), StarGraph((3, 1, 3))
+    assert a is not b and a.legs == b.legs
+    assert a.cartan is b.cartan and a.delta is b.delta
+    assert enumerate_roots(a) is enumerate_roots(b) is enumerate_roots("E7")
+
+
 def test_param_vector_is_exact_by_construction():
     gq = GaussianRational(F(1, 2), F(-1, 3))
     lam = ParamVector((1, F(2, 3), gq))
@@ -197,6 +289,18 @@ def test_coxeter_relations_exact(name):
             assert m == (3 if j in g.neighbors[i] else 2)
             out = lam
             for _ in range(m):
+                out = reflect_param(g, j, reflect_param(g, i, out))
+            assert out.values == lam.values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["Q", "Qi"]).flatmap(_level_zero))
+def test_coxeter_relations_hold_on_random_lam(case):
+    g, lam = case
+    for i in range(g.node_count):
+        for j in range(i, g.node_count):  # m_ii = 1: each r_i is an involution
+            out = lam
+            for _ in range(coxeter_exponent(g, i, j)):
                 out = reflect_param(g, j, reflect_param(g, i, out))
             assert out.values == lam.values
 
