@@ -353,7 +353,7 @@ def _commutator_jacobian(mats):
     return (left - right).transpose(1, 2, 0, 3, 4).reshape(n * n, k * n * n)
 
 
-def _tr_gauss_newton(gs, diags, target, tol, max_iters=500):
+def _tr_gauss_newton(gs, diags, target, tol, max_iters):
     """Trust-region Gauss-Newton for sum_k g_k D_k g_k^{-1} = target,
     acting on the conjugators.  Returns (gs, mats, residual) with gs and
     mats as lists of matrices."""

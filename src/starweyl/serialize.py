@@ -43,8 +43,9 @@ def _scalar_in(x):
 
 
 def tol_in(x, name: str = "tol") -> float:
-    """A verification tolerance: a number (not a boolean) in (0, MAX_TOL]."""
-    if isinstance(x, bool):
+    """A verification tolerance: a number (not a boolean or a string) in
+    (0, MAX_TOL]."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InputFormatError(f"{name} must be a number, got {x!r}")
     tol = float(x)
     if not 0 < tol <= MAX_TOL:

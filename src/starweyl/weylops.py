@@ -341,109 +341,74 @@ def _best_projector(a_up: np.ndarray, up_val: complex,
     return pi
 
 
-def _gauge_residues(sys_fin, poles, up, down, pi, up_val, down_val):
-    """New finite residues after the rank-one Schlesinger gauge; up/down
-    are pole indices with the infinity pole = len(poles)."""
-    m_fin = len(sys_fin)
-    n = sys_fin[0].shape[0]
-    eye = np.eye(n)
-    inf = m_fin  # index of the infinity pole
-
-    def tilde(i):
-        acc = np.zeros_like(sys_fin[0])
-        for k in range(m_fin):
-            if k != i:
-                acc += sys_fin[k] / (poles[i] - poles[k])
-        return acc
-
-    out = list(sys_fin)
-    if up != inf and down != inf:
-        ai, aj = poles[up], poles[down]
-        for k in range(m_fin):
-            if k in (up, down):
-                continue
-            f = (poles[k] - ai) / (poles[k] - aj)
-            gk = eye + (f - 1) * pi
-            gki = eye + (1 / f - 1) * pi
-            out[k] = gk @ sys_fin[k] @ gki
-        t_up, t_dn = tilde(up), tilde(down)
-        out[up] = (sys_fin[up] - pi @ sys_fin[up]
-                   + (ai - aj) * (t_up @ pi - pi @ t_up @ pi)
-                   + (up_val + 1) * pi)
-        out[down] = (sys_fin[down] - sys_fin[down] @ pi
-                     + (aj - ai) * (pi @ t_dn - pi @ t_dn @ pi)
-                     + (down_val - 1) * pi)
-    elif down == inf:
-        ai = poles[up]
-        for k in range(m_fin):
-            if k == up:
-                continue
-            u = poles[k] - ai
-            gk = eye + (u - 1) * pi
-            gki = eye + (1 / u - 1) * pi
-            out[k] = gk @ sys_fin[k] @ gki
-        t_up = tilde(up)
-        out[up] = (sys_fin[up] - pi @ sys_fin[up]
-                   + t_up @ pi - pi @ t_up @ pi + (up_val + 1) * pi)
-    else:  # up == inf, down finite
-        aj = poles[down]
-        for k in range(m_fin):
-            if k == down:
-                continue
-            u = poles[k] - aj
-            gk = eye + (1 / u - 1) * pi
-            gki = eye + (u - 1) * pi
-            out[k] = gk @ sys_fin[k] @ gki
-        t_dn = tilde(down)
-        out[down] = (sys_fin[down] - sys_fin[down] @ pi
-                     + pi @ t_dn - pi @ t_dn @ pi + (down_val - 1) * pi)
-    return out
-
-
-def _gauge_check(sys_fin, new_fin, poles, up, down, pi, rng):
-    """Verify at random test points that the computed residues reproduce
-    G A G^{-1} + G' G^{-1} as a rational function."""
-    m_fin = len(sys_fin)
-    n = sys_fin[0].shape[0]
-    eye = np.eye(n)
-    inf = m_fin
-    scale = max(1.0, max(float(np.linalg.norm(a)) for a in new_fin))
-    for _ in range(3):
-        z = complex(rng.uniform(1.5, 4.0), rng.uniform(0.5, 2.0))
-        if up != inf and down != inf:
-            f = (z - poles[up]) / (z - poles[down])
-            dlog = pi * (1 / (z - poles[up]) - 1 / (z - poles[down]))
-        elif down == inf:
-            f = z - poles[up]
-            dlog = pi / (z - poles[up])
-        else:
-            f = 1 / (z - poles[down])
-            dlog = -pi / (z - poles[down])
-        g = eye + (f - 1) * pi
-        gi = eye + (1 / f - 1) * pi
-        a_z = sum(a / (z - p) for a, p in zip(sys_fin, poles))
-        lhs = g @ a_z @ gi + dlog
-        rhs = sum(a / (z - p) for a, p in zip(new_fin, poles))
-        if float(np.linalg.norm(lhs - rhs)) > GAUGE_TOL * scale:
-            raise DegeneracyError("gauge residue check failed "
-                                  f"({float(np.linalg.norm(lhs - rhs)):.2e})")
+def _gauge_factor(z, poles, up, down):
+    """(f(z), 1/f(z)) for the scalar factor f(z) = (z - a_up)/(z - a_down)
+    of the rank-one gauge G(z) = I + (f(z) - 1) pi; a pole at infinity
+    (index len(poles)) drops its factor."""
+    if up == len(poles):
+        u = z - poles[down]
+        return 1 / u, u
+    f = z - poles[up]
+    if down != len(poles):
+        f = f / (z - poles[down])
+    return f, 1 / f
 
 
 def _unit_move(finite, poles, nu, up, up_val, down, down_val, rng):
     """One elementary Schlesinger move: exponent up_val -> up_val + 1 at
     pole `up`, down_val -> down_val - 1 at pole `down` (pole index
-    len(poles) means infinity).  Returns the new finite residues."""
+    len(poles) means infinity).  Returns the new finite residues, checked
+    at random test points to reproduce G A G^{-1} + G' G^{-1} as a
+    rational function."""
     inf = len(poles)
-    a_m = closing_residue(finite, nu)
+    eye = np.eye(finite[0].shape[0])
+    mats = list(finite) + [closing_residue(finite, nu)]
+    pi = _best_projector(mats[up], _cx(up_val), mats[down], _cx(down_val))
 
-    def mat(i):
-        return a_m if i == inf else finite[i]
+    def gauge(z):
+        f, f_inv = _gauge_factor(z, poles, up, down)
+        return eye + (f - 1) * pi, eye + (f_inv - 1) * pi
 
-    pi = _best_projector(mat(up), _cx(up_val), mat(down), _cx(down_val))
-    new_fin = _gauge_residues(finite, poles, up, down, pi, _cx(up_val),
-                              _cx(down_val))
-    _gauge_check(finite, new_fin, poles, up, down, pi, rng)
-    return new_fin
+    def tilde(i):
+        acc = np.zeros_like(finite[0])
+        for k in range(inf):
+            if k != i:
+                acc += finite[k] / (poles[i] - poles[k])
+        return acc
+
+    out = list(finite)
+    for k in range(inf):
+        if k not in (up, down):
+            g, g_inv = gauge(poles[k])
+            out[k] = g @ finite[k] @ g_inv
+    # the moving poles; an infinite partner drops the pole difference
+    if up != inf:
+        a, t = finite[up], tilde(up)
+        if down == inf:
+            moved = a - pi @ a + t @ pi - pi @ t @ pi
+        else:
+            moved = a - pi @ a + (poles[up] - poles[down]) * (t @ pi - pi @ t @ pi)
+        out[up] = moved + (_cx(up_val) + 1) * pi
+    if down != inf:
+        a, t = finite[down], tilde(down)
+        if up == inf:
+            moved = a - a @ pi + pi @ t - pi @ t @ pi
+        else:
+            moved = a - a @ pi + (poles[down] - poles[up]) * (pi @ t - pi @ t @ pi)
+        out[down] = moved + (_cx(down_val) - 1) * pi
+    scale = max(1.0, max(float(np.linalg.norm(a)) for a in out))
+    for _ in range(3):
+        z = complex(rng.uniform(1.5, 4.0), rng.uniform(0.5, 2.0))
+        g, g_inv = gauge(z)
+        # G' G^{-1} = pi (1/(z - a_up) - 1/(z - a_down)), infinity dropped
+        dlog = sum(s / (z - poles[p]) for p, s in ((up, 1), (down, -1))
+                   if p != inf) * pi
+        a_z = sum(a / (z - p) for a, p in zip(finite, poles))
+        rhs = sum(a / (z - p) for a, p in zip(out, poles))
+        err = float(np.linalg.norm(g @ a_z @ g_inv + dlog - rhs))
+        if err > GAUGE_TOL * scale:
+            raise DegeneracyError(f"gauge residue check failed ({err:.2e})")
+    return out
 
 
 def schlesinger_step(sys: FuchsianSystem, pole_i: int, slot_k: int,
@@ -655,31 +620,24 @@ def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
 
 
 def _plan_moves(sys: FuchsianSystem, mu: ParamVector):
-    """Decompose the translation by mu into per-value integer shifts,
-    using the tensoring freedom to balance moves across the poles.
-    Returns (lam_new, ranked [(per-pole slot shifts, constants)])."""
+    """Decompose the translation by mu into integer shifts of every
+    eigenvalue copy, using the tensoring freedom to balance moves across
+    the poles.  Returns (lam_new, ranked [(per-pole copy shifts,
+    constants)])."""
     g = sys.graph
     lam_new = sys.lam + mu
-    old = predicted_specs(g, sys.lam)
-    new = predicted_specs(g, lam_new)
-    mu_c = mu[g.center]
-    if not (isinstance(mu_c, Fraction) and mu_c.denominator == 1):
-        raise ValueError("translation must shift eigenvalues by integers")
-    t_shifts, mults = [], []
-    for p in range(sys.m):
-        if new[p].width != old[p].width or new[p].mults != old[p].mults:
+    for old, new in zip(sys.specs, predicted_specs(g, lam_new)):
+        if new.width != old.width or new.mults != old.mults:
             raise DegeneracyError(
                 "translation lands on a wall (orbit type would change)")
-        d = [nv - ov for (nv, _), (ov, _) in zip(new[p].entries, old[p].entries)]
-        for x in d:
-            if not (isinstance(x, Fraction) and x.denominator == 1):
-                raise ValueError("translation must shift eigenvalues by integers")
-        t_shifts.append([int(x) for x in d])
-        mults.append(list(old[p].mults))
+    # mu is integral (translate checks it): a Q(i) entry is its real part
+    mu_c, t_shifts, mults = _move_profile(
+        g, [int(getattr(mu[i], "re", mu[i])) for i in g.finite_nodes])
     plans = []
     for _, consts in _ranked_offsets(tuple(map(tuple, t_shifts)),
-                                     tuple(map(tuple, mults)), int(mu_c)):
-        shifts = [[t + consts[p] for t in t_shifts[p]] for p in range(sys.m)]
+                                     tuple(map(tuple, mults)), mu_c):
+        shifts = [[t + c for t, mult in zip(t_row, m_row) for _ in range(mult)]
+                  for t_row, m_row, c in zip(t_shifts, mults, consts)]
         plans.append((shifts, consts))
     return lam_new, plans
 
@@ -687,16 +645,15 @@ def _plan_moves(sys: FuchsianSystem, mu: ParamVector):
 def _move_sequence(specs, shifts, order_seed: int):
     """The elementary moves of one run, from the exact bookkeeping alone.
 
-    shifts holds the integer shift of each listed eigenvalue of each
-    pole's spec; every copy of an eigenvalue is a slot of its own.
+    shifts holds the integer shift of every eigenvalue copy of each pole,
+    in spec.eigen_list() order; every copy is a slot of its own.
     Returns the moves as (up pole, up slot, down pole, down slot) and the
     message of the bookkeeping failure that ends the run after them, or
     None.  order_seed 0 pairs pending moves in lexicographic order; larger
     seeds shuffle the pairing, used to retry around degeneracies
     (intermediate states can pass near walls in an order-dependent way)."""
     values = [list(spec.eigen_list()) for spec in specs]
-    left = [[d for (_, mult), d in zip(spec.entries, row) for _ in range(mult)]
-            for spec, row in zip(specs, shifts)]
+    left = [list(row) for row in shifts]
     shuffler = np.random.default_rng(order_seed) if order_seed else None
     m = len(values)
     moves = []

@@ -173,6 +173,8 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("system", {"tol": 0}),
     ("system", {"tol": 1e300}),
     ("system", {"tol": True}),
+    ("system", {"tol": "1e-9"}),
+    ("orbit", {"tol": "1e-9"}),
     ("system", {"lam": {"values": [0.5, -0.25, -0.25, -0.25, -0.25]}}),
     ("system", {"offsets": [0.0] * 4}),
     ("sample", "-1"),
@@ -185,12 +187,13 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         "legs-1-1", "legs-2-2-2", "legs-1-1-1-120", "one-pole",
         "duplicate-poles", "non-square-residues", "no-residues", "nan-residue",
         "far-apart-poles", "pole-ratio-overflow", "near-poles",
-        "negative-tol", "zero-tol", "huge-tol", "boolean-tol",
+        "negative-tol", "zero-tol", "huge-tol", "boolean-tol", "string-tol",
+        "orbit-string-tol",
         "float-lam", "float-offsets",
         "sample-negative-tol", "sample-zero-tol", "sample-huge-tol"])
 def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     path = tmp_path / f"{kind}.json"
-    if kind == "system":
+    if kind in ("system", "orbit"):
         doc = {**_d4_document(), **doc}
     path.write_text(json.dumps(doc))
     if kind in ("word", "system"):
@@ -202,6 +205,9 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
             out = run_cli("apply", "--system", str(sysfile), "--word", str(path))
         else:
             out = run_cli("apply", "--system", str(path), "--word", str(word))
+    elif kind == "orbit":
+        out = run_cli("orbit", "--system", str(path), "--mu", "[0,0,0,0]",
+                      "--steps", "1")
     elif kind == "config":
         out = run_cli("sakai", "--config", str(path), "--mu", "[1,0]")
     elif kind == "sample":
@@ -249,6 +255,26 @@ def test_any_mutated_system_document_exits_0_2_or_3(tmp_path_factory, place,
     assert code in (0, 2, 3)
     if code:
         assert len(err.getvalue().splitlines()) == 1
+
+
+def test_qi_system_translates_from_the_cli(tmp_path, qi_d4_system):
+    from starweyl.dynkin import ParamVector
+    from starweyl.ratlin import format_rational
+    mu = [-1, 0, 0, 1, 1]
+    sysfile = tmp_path / "qi.json"
+    sysfile.write_text(serialize.dumps(serialize.system_out(qi_d4_system)))
+    out = run_cli("orbit", "--system", str(sysfile), "--mu", json.dumps(mu),
+                  "--steps", "2")
+    assert out.returncode == 0, out.stderr
+    lam2 = qi_d4_system.lam + ParamVector(tuple(2 * x for x in mu))
+    last = out.stdout.strip().splitlines()[-1].split(",")
+    assert last[:6] == ["2"] + [format_rational(v) for v in lam2.values]
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps(_word(["translate", mu])))
+    out = run_cli("apply", "--system", str(sysfile), "--word", str(word))
+    assert out.returncode == 0, out.stderr
+    lam1 = serialize.lam_in(json.loads(out.stdout)["lam"])
+    assert lam1.values == (qi_d4_system.lam + ParamVector(tuple(mu))).values
 
 
 def test_orbit_failure_exits_3_naming_the_step(tmp_path, monkeypatch, capsys):

@@ -322,12 +322,9 @@ def _reference_run(sys0, shifts, order_seed, guard):
     specs = sys0.specs
     values, targets = [], []
     for p in range(sys0.m):
-        vals, tgts = [], []
-        for (v, m), d in zip(specs[p].entries, shifts[p]):
-            vals.extend([v] * m)
-            tgts.extend([v + d] * m)
+        vals = list(specs[p].eigen_list())
         values.append(vals)
-        targets.append(tgts)
+        targets.append([v + d for v, d in zip(vals, shifts[p])])
     rng = np.random.default_rng(order_seed + 1)
     shuffler = np.random.default_rng(order_seed) if order_seed else None
     finite = list(sys0.finite_residues)
@@ -500,6 +497,78 @@ def test_dp_orbit_failure_names_step_and_pairing(monkeypatch):
                           f"|root pairing| {near:.3g}): translation failed "
                           f"for every move order (")
     assert msg.endswith("last: eigenvector pairing is degenerate (w.v = 0))")
+
+
+# ---------------------------------------------------------------------------
+# elementary moves on every pole pair; translations off the generic real case
+
+
+@pytest.mark.parametrize("name, seed", [("D4", 4), ("E8", 2)])
+def test_unit_move_is_the_rank_one_gauge_for_every_pole_pair(name, seed):
+    from starweyl.fuchsian import closing_residue
+    from starweyl.ratlin import to_complex
+    from starweyl.weylops import _best_projector, _unit_move
+    sysm, _ = sample_system(name, seed)
+    finite, poles, nu = list(sysm.finite_residues), sysm.poles, sysm.nu
+    inf = len(poles)
+    eye = np.eye(sysm.n)
+    rng = np.random.default_rng(0)
+    for up, down in itertools.permutations(range(sysm.m), 2):
+        up_val, down_val = sysm.specs[up].values[-1], sysm.specs[down].values[0]
+        new = _unit_move(finite, poles, nu, up, up_val, down, down_val,
+                         np.random.default_rng(1))
+        mats = finite + [closing_residue(finite, nu)]
+        pi = _best_projector(mats[up], to_complex(up_val), mats[down],
+                             to_complex(down_val))
+        scale = max(float(np.linalg.norm(a)) for a in new)
+        for _ in range(3):
+            z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 2))
+            # G(z) = I + (f(z) - 1) pi and its derivative f'(z) pi, per case
+            if up == inf:
+                f, df = 1 / (z - poles[down]), -1 / (z - poles[down]) ** 2
+            elif down == inf:
+                f, df = z - poles[up], 1.0
+            else:
+                f = (z - poles[up]) / (z - poles[down])
+                df = (poles[up] - poles[down]) / (z - poles[down]) ** 2
+            g_inv = np.linalg.inv(eye + (f - 1) * pi)
+            a_z = sum(a / (z - p) for a, p in zip(finite, poles))
+            want = (eye + (f - 1) * pi) @ a_z @ g_inv + df * pi @ g_inv
+            got = sum(a / (z - p) for a, p in zip(new, poles))
+            assert np.linalg.norm(got - want) < 1e-9 * max(1.0, scale), (up, down)
+        moved = new + [closing_residue(new, nu)]
+        for p, val in ((up, up_val + 1), (down, down_val - 1)):
+            smallest = np.linalg.svd(moved[p] - to_complex(val) * eye,
+                                     compute_uv=False)[-1]
+            assert smallest < 1e-9 * max(1.0, scale), (up, down, p)
+
+
+def test_translate_acts_on_qi_parameters(qi_d4_system):
+    sysm = qi_d4_system
+    assert sysm.lam.field == "Qi"
+    mu = light_translation_basis(sysm.graph)[0]
+    cur = sysm
+    for k in range(1, 6):
+        cur = translate(cur, mu)
+        assert cur.lam.values == (sysm.lam + mu.scale(k)).values
+        assert cur.verify() < 1e-8
+
+
+# a zero leg parameter merges two eigenvalues into one listed value of the
+# spec; the light vectors that keep that node at zero stay on the closure
+@pytest.mark.parametrize("name, node, vectors",
+                         [("E7", 5, [3, 4]), ("E8", 4, [0, 5, 6])])
+def test_translate_from_a_closure_start(closure_system, name, node, vectors):
+    sysm = closure_system(name, node)
+    g = sysm.graph
+    leg, _ = g.leg_of(node)
+    assert sysm.specs[leg].width == len(g.leg_nodes(leg))  # one merged value
+    basis = light_translation_basis(g)
+    assert [i for i, mu in enumerate(basis) if mu[node] == 0] == vectors
+    for i in vectors:
+        out = translate(sysm, basis[i])
+        assert out.lam.values == (sysm.lam + basis[i]).values
+        assert out.verify() < 1e-8
 
 
 # ---------------------------------------------------------------------------
