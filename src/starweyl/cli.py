@@ -22,7 +22,7 @@ from .dynkin import (
     weight_lattice_member,
 )
 from .errors import DegeneracyError, InputFormatError, StarweylError
-from .fuchsian import DEFAULT_TOL, sample_system, signature
+from .fuchsian import DEFAULT_TOL, SIG_LEN_MAX, sample_system, signature
 from .ratlin import format_rational
 from .sakai import sakai_orbit
 from .weylops import apply_word, dp_orbit, WeylWord
@@ -54,6 +54,11 @@ def _int_list(text: str) -> list:
     if not isinstance(doc, list) or not all(isinstance(x, int) for x in doc):
         raise InputFormatError("--mu must be a JSON list of integers")
     return doc
+
+
+def _in_range(value: int, flag: str, lo: int, hi: float = float("inf")):
+    if not lo <= value <= hi:
+        raise InputFormatError(f"{flag} must be from {lo} to {hi}, got {value}")
 
 
 def _parse_mu(text: str, graph: StarGraph) -> ParamVector:
@@ -132,6 +137,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    _in_range(args.steps, "--steps", 0)
+    _in_range(args.sig_len, "--sig-len", 1, SIG_LEN_MAX)
     sysm = serialize.system_in(_read_json(args.system))
     mu = _parse_mu(args.mu, sysm.graph)
     rows = dp_orbit(sysm, mu, args.steps, sig_len=args.sig_len)
@@ -140,6 +147,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_sakai(args) -> int:
+    _in_range(args.steps, "--steps", 0)
     p = serialize.config_in(_read_json(args.config))
     rows = sakai_orbit(p, tuple(_int_list(args.mu)), args.steps)
     lines = [",".join(["step"] + [f"u_{i + 1}" for i in range(p.r)] + ["walls"])]
@@ -188,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True,
                    help="integral level-zero vector as a JSON list")
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--sig-len", type=int, default=3)
+    p.add_argument("--sig-len", type=int, default=3,
+                   help=f"signature word length, 1 to {SIG_LEN_MAX}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_orbit)
 

@@ -44,6 +44,7 @@ FIT_TOL = 2e-11         # sampler fit residual (fit scale)
 SPAN_TOL = 1e-9         # a word extends the generated algebra (relative norm)
 ROOT_MARGIN = 0.05      # sampled lam: every root pairing this far from zero
 INTEGER_MARGIN = 0.02   # sampled lam: eigenvalue differences this far from integers
+SIG_LEN_MAX = 8         # longest signature words (length L traces m + ... + m^L words)
 
 # finite pole positions, one per leg except the last (which sits at infinity)
 DEFAULT_POLES = {3: (0.0, 1.0), 4: (0.0, -1.0, 1.0)}

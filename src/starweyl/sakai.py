@@ -19,9 +19,11 @@ never forbidden.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import ratlin
 from .dynkin import ParamVector, StarGraph
@@ -55,16 +57,10 @@ class PicardLattice:
     @cached_property
     def simple_roots(self) -> tuple:
         """a_0 = E_0 - E_1 - E_2 - E_3 and a_i = E_i - E_{i+1}."""
-        roots = []
-        first = [Fraction(0)] * (self.r + 1)
-        first[0], first[1], first[2], first[3] = (Fraction(1), Fraction(-1),
-                                                  Fraction(-1), Fraction(-1))
-        roots.append(tuple(first))
-        for i in range(1, self.r):
-            v = [Fraction(0)] * (self.r + 1)
-            v[i], v[i + 1] = Fraction(1), Fraction(-1)
-            roots.append(tuple(v))
-        return tuple(roots)
+        first = (1, -1, -1, -1) + (0,) * (self.r - 3)
+        chain = [tuple((k == i) - (k == i + 1) for k in range(self.r + 1))
+                 for i in range(1, self.r)]
+        return tuple(tuple(map(Fraction, v)) for v in [first, *chain])
 
     def beta_vector(self, i: int) -> tuple:
         """beta_i = E_i - E_0/3, a basis of Q tensor Q."""
@@ -160,45 +156,40 @@ def act_word(p: PointConfig, word) -> PointConfig:
 # walls
 
 
-def _near_integer_multiple(value: Fraction, s: Fraction) -> bool:
-    """Whether value lies in Z * s (the r = 9 wall condition is read
-    modulo integer multiples of the sum of the points)."""
-    if s == 0:
-        return value == 0
-    q = value / s
-    return q.denominator == 1
+@lru_cache(maxsize=4)
+def _wall_table(r: int) -> tuple:
+    """(kind, labels, integer coefficients of u_1..u_r) for every wall
+    candidate, in report order; a nodal cubic lists its double point first."""
+    idx = range(1, r + 1)
+
+    def count(labels):
+        return tuple(labels.count(k) for k in idx)
+
+    table = [("equal", (i, j), tuple((k == i) - (k == j) for k in idx))
+             for i, j in itertools.combinations(idx, 2)]
+    table += [(kind, c, count(c)) for kind, size in (("collinear", 3), ("conic", 6))
+              for c in itertools.combinations(idx, size)]
+    if r >= 8:
+        table += [("nodal_cubic", (d,) + tuple(k for k in c if k != d),
+                   count(c + (d,)))
+                  for c in itertools.combinations(idx, 8) for d in c]
+    return tuple(table)
 
 
 def wall_check(p: PointConfig):
     """Violated wall conditions: equal points, collinear triples, six on a
     conic, eight on a nodal cubic.  For r = 9 each is read modulo integer
-    multiples of the total sum."""
-    r = p.r
-    mod = p.total() if r == 9 else None
-
-    def hits(value):
-        if mod is None:
-            return value == 0
-        return _near_integer_multiple(value, mod)
-
+    multiples of the total sum: over the points' common denominator a
+    wall's sum V and the total M are integers, and V is hit when M divides
+    it (when V = 0 if M = 0)."""
+    den = math.lcm(*(u.denominator for u in p.values))
+    n = [u.numerator * (den // u.denominator) for u in p.values]
+    total = sum(n) if p.r == 9 else 0
     out = []
-    idx = range(1, r + 1)
-    for i, j in itertools.combinations(idx, 2):
-        if hits(p[i - 1] - p[j - 1]):
-            out.append(("equal", (i, j)))
-    for c in itertools.combinations(idx, 3):
-        if hits(sum((p[i - 1] for i in c), Fraction(0))):
-            out.append(("collinear", c))
-    for c in itertools.combinations(idx, 6):
-        if hits(sum((p[i - 1] for i in c), Fraction(0))):
-            out.append(("conic", c))
-    if r >= 8:
-        for c in itertools.combinations(idx, 8):
-            for double in c:
-                rest = sum((p[i - 1] for i in c), Fraction(0)) + p[double - 1]
-                if hits(rest):
-                    out.append(("nodal_cubic", (double,) + tuple(k for k in c
-                                                                 if k != double)))
+    for kind, labels, coeffs in _wall_table(p.r):
+        v = sum(map(operator.mul, coeffs, n))
+        if v == 0 or (total and v % total == 0):
+            out.append((kind, labels))
     return tuple(out)
 
 
@@ -249,14 +240,11 @@ def config_translation(p: PointConfig, mu_coeffs) -> PointConfig:
     mu_coeffs = tuple(mu_coeffs)
     if len(mu_coeffs) != 8:
         raise InputFormatError("r = 9 translations take 8 root coefficients")
-    mu = [Fraction(0)] * 10
-    for c, root in zip(mu_coeffs, lat.simple_roots[:8]):
-        for k in range(10):
-            mu[k] += Fraction(c) * root[k]
+    mu = [sum((Fraction(c) * root[k] for c, root in zip(mu_coeffs, lat.simple_roots)),
+              Fraction(0)) for k in range(10)]
     s = p.total()
-    vals = [u - s * lat.intersect(lat.beta_vector(i + 1), mu)
-            for i, u in enumerate(p.values)]
-    return PointConfig(tuple(vals))
+    return PointConfig(tuple(u - s * lat.intersect(lat.beta_vector(i + 1), mu)
+                             for i, u in enumerate(p.values)))
 
 
 def kronheimer_step(p: PointConfig, mu_lam) -> PointConfig:
@@ -280,15 +268,13 @@ def kronheimer_step(p: PointConfig, mu_lam) -> PointConfig:
 
 
 def sakai_orbit(p: PointConfig, mu, steps: int):
-    """Iterate the translation, emitting (k, configuration, wall flags).
-
-    For r = 9 mu lists the eight finite simple-root coefficients and the
-    trajectory is exact and affine-linear in the step index; for r <= 8 mu
-    is an integral weight vector in star-graph coordinates, transported
-    through the beta-basis identification."""
-    rows = [(0, p, wall_check(p))]
-    cur = p
-    for k in range(1, steps + 1):
-        cur = config_translation(cur, mu) if p.r == 9 else kronheimer_step(cur, mu)
-        rows.append((k, cur, wall_check(cur)))
-    return rows
+    """Rows (k, configuration, wall flags) for k = 0..steps.  For r = 9 mu
+    lists the eight finite simple-root coefficients; for r <= 8 it is an
+    integral weight vector in star-graph coordinates.  A translation adds
+    a fixed vector w to u (for r = 9 the total it scales is invariant), so
+    one step gives w and row k is u_0 + k w."""
+    step = config_translation(p, mu) if p.r == 9 else kronheimer_step(p, mu)
+    w = [b - a for a, b in zip(p.values, step.values)]
+    configs = [PointConfig(tuple(u + k * d for u, d in zip(p.values, w)))
+               for k in range(steps + 1)]
+    return [(k, q, wall_check(q)) for k, q in enumerate(configs)]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starweyl import serialize
-from starweyl.fuchsian import sample_system, signature
+from starweyl.fuchsian import SIG_LEN_MAX, sample_system, signature
 
 
 def run_cli(*args):
@@ -112,6 +112,22 @@ def test_sakai_csv_and_walls(tmp_path):
     assert len(lines) == 5
 
 
+def test_option_bounds_are_inclusive(tmp_path):
+    sysfile = tmp_path / "sys.json"
+    sysfile.write_text(serialize.dumps(_d4_document()))
+    for sig_len in (1, SIG_LEN_MAX):
+        out = run_cli("orbit", "--system", str(sysfile), "--mu", "[0,0,0,0]",
+                      "--steps", "0", "--sig-len", str(sig_len))
+        assert out.returncode == 0, out.stderr
+        assert len(out.stdout.splitlines()) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_SIX_POINTS))
+    out = run_cli("sakai", "--config", str(cfg), "--mu", "[1,0,0,0,0,0]",
+                  "--steps", "0")
+    assert out.returncode == 0, out.stderr
+    assert len(out.stdout.splitlines()) == 2
+
+
 def test_exit_codes():
     out = run_cli("apply", "--system", "/nonexistent.json", "--word",
                   "/also-missing.json")
@@ -138,6 +154,8 @@ def _d4_document():
     return serialize.system_out(sample_system("D4", 2)[0])
 
 
+_SIX_POINTS = {"schema": serialize.CONFIG_SCHEMA,
+               "points": ["1", "2", "3", "5", "7", "11"]}
 _NAN = float("nan")
 _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
@@ -180,6 +198,12 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("sample", "-1"),
     ("sample", "0"),
     ("sample", "1e300"),
+    ("orbit-args", ["--sig-len", "0"]),
+    ("orbit-args", ["--sig-len", "-3"]),
+    ("orbit-args", ["--sig-len", "1000000000"]),
+    ("orbit-args", ["--steps", "-1"]),
+    ("config-args", ["--steps", "-1"]),
+    ("config-args", ["--mu", "[1,2]", "--steps", "0"]),
 ], ids=["leg-without-node", "leg-center", "leg-out-of-range", "tags-not-a-list",
         "float-tensor-shift",
         "two-point-config", "lam-zero-denominator", "lam-off-level-zero",
@@ -190,8 +214,15 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         "negative-tol", "zero-tol", "huge-tol", "boolean-tol", "string-tol",
         "orbit-string-tol",
         "float-lam", "float-offsets",
-        "sample-negative-tol", "sample-zero-tol", "sample-huge-tol"])
+        "sample-negative-tol", "sample-zero-tol", "sample-huge-tol",
+        "orbit-zero-sig-len", "orbit-negative-sig-len", "orbit-huge-sig-len",
+        "orbit-negative-steps", "sakai-negative-steps", "sakai-bad-mu-no-steps"])
 def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
+    args = []
+    if kind.endswith("-args"):
+        # a valid document with malformed options
+        kind, args = kind[:-len("-args")], doc
+        doc = {} if kind == "orbit" else _SIX_POINTS
     path = tmp_path / f"{kind}.json"
     if kind in ("system", "orbit"):
         doc = {**_d4_document(), **doc}
@@ -207,9 +238,10 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
             out = run_cli("apply", "--system", str(path), "--word", str(word))
     elif kind == "orbit":
         out = run_cli("orbit", "--system", str(path), "--mu", "[0,0,0,0]",
-                      "--steps", "1")
+                      "--steps", "1", *args)
     elif kind == "config":
-        out = run_cli("sakai", "--config", str(path), "--mu", "[1,0]")
+        out = run_cli("sakai", "--config", str(path), "--mu", "[1,0,0,0,0,0]",
+                      *args)
     elif kind == "sample":
         out = run_cli("sample", "--type", "D4", "--tol", doc)
     else:

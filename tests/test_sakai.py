@@ -1,8 +1,15 @@
+import contextlib
+import io
+import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from starweyl import cli
 from starweyl.dynkin import reflect_param
 from starweyl.sakai import (
     PicardLattice,
@@ -202,3 +209,164 @@ def test_kronheimer_step_r_le_8():
             want = tuple(u + k * (qq - uu) for u, uu, qq
                          in zip(p.values, p.values, q.values))
             assert cfg.values == want
+
+
+# ---------------------------------------------------------------------------
+# the integer wall kernel and the one-step orbit against the Fraction loops
+
+
+def _near_integer_multiple(value: F, s: F) -> bool:
+    """Whether value lies in Z * s (the r = 9 wall condition is read
+    modulo integer multiples of the sum of the points)."""
+    if s == 0:
+        return value == 0
+    q = value / s
+    return q.denominator == 1
+
+
+def _reference_wall_check(p: PointConfig):
+    """Violated wall conditions: equal points, collinear triples, six on a
+    conic, eight on a nodal cubic.  For r = 9 each is read modulo integer
+    multiples of the total sum."""
+    r = p.r
+    mod = p.total() if r == 9 else None
+
+    def hits(value):
+        if mod is None:
+            return value == 0
+        return _near_integer_multiple(value, mod)
+
+    out = []
+    idx = range(1, r + 1)
+    for i, j in itertools.combinations(idx, 2):
+        if hits(p[i - 1] - p[j - 1]):
+            out.append(("equal", (i, j)))
+    for c in itertools.combinations(idx, 3):
+        if hits(sum((p[i - 1] for i in c), F(0))):
+            out.append(("collinear", c))
+    for c in itertools.combinations(idx, 6):
+        if hits(sum((p[i - 1] for i in c), F(0))):
+            out.append(("conic", c))
+    if r >= 8:
+        for c in itertools.combinations(idx, 8):
+            for double in c:
+                rest = sum((p[i - 1] for i in c), F(0)) + p[double - 1]
+                if hits(rest):
+                    out.append(("nodal_cubic", (double,) + tuple(k for k in c
+                                                                 if k != double)))
+    return tuple(out)
+
+
+def _reference_orbit(p, mu, steps):
+    """Iterate the translation step by step."""
+    rows = [(0, p, _reference_wall_check(p))]
+    cur = p
+    for k in range(1, steps + 1):
+        cur = config_translation(cur, mu) if p.r == 9 else kronheimer_step(cur, mu)
+        rows.append((k, cur, _reference_wall_check(cur)))
+    return rows
+
+
+_WALL_SIZES = {"equal": 2, "collinear": 3, "conic": 6, "nodal_cubic": 8}
+_RATIONAL = st.builds(
+    F, st.integers(-40, 40) | st.integers(-10**30, 10**30),
+    st.integers(1, 13) | st.integers(1, 10**30))
+_SMALL_TOTALS = (F(0), F(1), F(-1), F(1, 2), F(-3), F(2, 7))
+
+
+def _coefficients(r, kind, labels):
+    """The wall's sum as coefficients of u_1..u_r (0-based labels)."""
+    c = [0] * r
+    if kind == "equal":
+        c[labels[0]], c[labels[1]] = 1, -1
+        return c
+    for i in labels:
+        c[i] += 1
+    if kind == "nodal_cubic":
+        c[labels[0]] += 1  # the double point
+    return c
+
+
+def _solve_two(vals, a, b, rhs):
+    """Change two entries of vals so that a.u = 0 and b.u = rhs."""
+    r = len(vals)
+    for j, k in itertools.combinations(range(r), 2):
+        det = a[j] * b[k] - a[k] * b[j]
+        if det:
+            fa = -sum(a[i] * vals[i] for i in range(r) if i not in (j, k))
+            fb = rhs - sum(b[i] * vals[i] for i in range(r) if i not in (j, k))
+            vals[j] = (fa * b[k] - a[k] * fb) / det
+            vals[k] = (a[j] * fb - fa * b[j]) / det
+            return
+    raise AssertionError("no solvable pair")
+
+
+@st.composite
+def wall_configs(draw):
+    """Rational r-point configurations, r = 6-9, optionally forced onto a
+    drawn wall (for r = 9 a drawn integer multiple m of the total) and,
+    for r = 9, onto a total of 0 or a small nonzero value."""
+    r = draw(st.integers(6, 9))
+    vals = draw(st.lists(_RATIONAL, min_size=r, max_size=r))
+    kinds = [k for k, size in _WALL_SIZES.items() if size <= r]
+    kind = draw(st.none() | st.sampled_from(kinds))
+    total = draw(st.none() | st.sampled_from(_SMALL_TOTALS)) if r == 9 else None
+    if kind is not None:
+        labels = draw(st.permutations(range(r)))[:_WALL_SIZES[kind]]
+        m = draw(st.integers(-2, 2)) if r == 9 else 0
+        a = [c - m for c in _coefficients(r, kind, labels)]
+        if total is None:
+            j = next(i for i in range(r) if a[i])
+            vals[j] = -sum(a[i] * vals[i] for i in range(r) if i != j) / a[j]
+        else:
+            _solve_two(vals, a, [1] * r, total)
+    elif total is not None:
+        vals[-1] = total - sum(vals[:-1])
+    return PointConfig(tuple(vals)), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=wall_configs())
+def test_wall_check_matches_the_fraction_loops(case):
+    p, forced = case
+    got = wall_check(p)
+    assert got == _reference_wall_check(p)
+    if forced is not None:
+        assert forced in {kind for kind, _ in got}
+
+
+@pytest.mark.parametrize("r", (6, 7, 8, 9))
+def test_sakai_orbit_matches_the_iterated_step(r):
+    rng = random.Random(40 + r)
+    for steps in (0, 1, 2, 5, 12):
+        if r == 9:
+            mu = tuple(rng.randint(-2, 2) for _ in range(8))
+            vals = list(rand_config(r, rng).values)
+            # u_1 - u_2 is the total: on the equal wall at every step
+            vals[1] = -sum(vals[2:]) / 2
+        else:
+            mu = tuple(rng.randint(-2, 2) for _ in range(r))
+            vals = list(rand_config(r, rng).values)
+            w = [b - a for a, b in zip(vals, kronheimer_step(
+                PointConfig(tuple(vals)), mu).values)]
+            # u_1 = u_2 at step k0 only, when w_1 != w_2
+            k0 = rng.randint(0, steps)
+            vals[1] = vals[0] + k0 * (w[0] - w[1])
+        p = PointConfig(tuple(vals))
+        got, want = sakai_orbit(p, mu, steps), _reference_orbit(p, mu, steps)
+        assert [(k, q.values, walls) for k, q, walls in got] == \
+            [(k, q.values, walls) for k, q, walls in want]
+        assert all(type(u) is F for _, q, _ in got for u in q.values)
+        assert any(("equal", (1, 2)) in walls for _, _, walls in got)
+
+
+def test_sakai_r9_golden_csv():
+    """A 30-step r = 9 orbit on walls: stdout is byte for byte the stored
+    CSV (the same command runs on the installed console script in CI)."""
+    data = Path(__file__).parent / "data"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["sakai", "--config", str(data / "sakai_r9_wall.json"),
+                         "--mu", "[1,0,-2,0,1,0,0,3]", "--steps", "30"])
+    assert code == 0
+    assert out.getvalue().encode() == (data / "sakai_r9_wall.csv").read_bytes()
+    assert "nodal_cubic" in out.getvalue()
