@@ -3,6 +3,10 @@
 Subcommands: roots, regular, sample, apply, orbit, sakai.  All randomness
 is seeded, logs go to stderr, data to stdout or --out.  Exit codes:
 0 ok, 2 input error, 3 degeneracy or wall error.
+
+The matrix modules (fuchsian, quiver, weylops, and numpy with them) are
+imported by the subcommands that call them, so roots and sakai run on
+the exact modules alone.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ from .dynkin import (
     weight_lattice_member,
 )
 from .errors import DegeneracyError, InputFormatError, StarweylError
-from .fuchsian import DEFAULT_TOL, SIG_LEN_MAX, sample_system, signature
 from .ratlin import format_rational
-from .sakai import sakai_orbit
-from .weylops import apply_word, dp_orbit, WeylWord
+from .tolerances import DEFAULT_TOL, SIG_LEN_MAX
 
 
 def _write(text: str, out):
@@ -51,7 +53,7 @@ def _read_json(path: str):
 def _int_list(text: str) -> list:
     """The --mu value: a JSON list of integers."""
     doc = serialize.loads(text)
-    if not isinstance(doc, list) or not all(isinstance(x, int) for x in doc):
+    if not isinstance(doc, list) or not all(type(x) is int for x in doc):
         raise InputFormatError("--mu must be a JSON list of integers")
     return doc
 
@@ -109,6 +111,7 @@ def cmd_regular(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .fuchsian import sample_system
     serialize.tol_in(args.tol, "--tol")
     sysm, lam = sample_system(args.type, args.seed, tol=args.tol)
     err = sysm.verify()
@@ -119,6 +122,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    from .fuchsian import signature
+    from .weylops import WeylWord, apply_word
     sysm = serialize.system_in(_read_json(args.system))
     tags = serialize.word_in(_read_json(args.word))
     try:
@@ -137,6 +142,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .weylops import dp_orbit
     _in_range(args.steps, "--steps", 0)
     _in_range(args.sig_len, "--sig-len", 1, SIG_LEN_MAX)
     sysm = serialize.system_in(_read_json(args.system))
@@ -147,6 +153,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_sakai(args) -> int:
+    from .sakai import sakai_orbit
     _in_range(args.steps, "--steps", 0)
     p = serialize.config_in(_read_json(args.config))
     rows = sakai_orbit(p, tuple(_int_list(args.mu)), args.steps)

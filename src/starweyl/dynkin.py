@@ -24,10 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .ratlin import GaussianRational, mat, nullspace, smith_diagonal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 AFFINE_LEGS = {
     "D4": (1, 1, 1, 1),
@@ -341,7 +343,6 @@ class RootTable:
     """The finite roots of one leg signature, built once per process."""
 
     roots: tuple[RootVector, ...]   # enumerate_roots order, positives first
-    matrix: np.ndarray              # the same roots as rows of int64 entries
     weight: int                     # largest sum of |coefficients| of a root
 
 
@@ -367,10 +368,22 @@ def _root_table(legs: tuple[int, ...]) -> RootTable:
                     nxt.append(refl)
         frontier = nxt
     roots = sorted(seen, reverse=True)
-    matrix = np.array(roots, dtype=np.int64)
+    return RootTable(tuple(RootVector(v) for v in roots),
+                     max(sum(map(abs, v)) for v in roots))
+
+
+@functools.lru_cache(maxsize=64)
+def _root_matrix(legs: tuple[int, ...]) -> np.ndarray:
+    """The roots of _root_table as the rows of a read-only int64 matrix.
+
+    numpy is loaded here and in root_pairings only: the root closure, the
+    Cartan data and the weight lattice need nothing beyond the language.
+    """
+    import numpy as np
+    matrix = np.array([r.coords for r in _root_table(legs).roots],
+                      dtype=np.int64)
     matrix.setflags(write=False)
-    return RootTable(tuple(RootVector(v) for v in roots), matrix,
-                     int(np.abs(matrix).sum(axis=1).max()))
+    return matrix
 
 
 def enumerate_roots(type_or_graph) -> tuple[RootVector, ...]:
@@ -414,15 +427,17 @@ def root_pairings(g: StarGraph, lam: ParamVector) -> tuple[np.ndarray, int]:
     finite entries of lam.  num is int64 when no product or sum can
     overflow it and holds Python ints (dtype object) otherwise.
     """
-    table = _root_table(g.legs)
+    import numpy as np
+    matrix = _root_matrix(g.legs)
     parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
-             for v in lam.values[:table.matrix.shape[1]]]
+             for v in lam.values[:matrix.shape[1]]]
     den = math.lcm(*(x.denominator for pair in parts for x in pair))
     ints = [[x.numerator * (den // x.denominator) for x in pair]
             for pair in parts]
-    if table.weight * max(abs(x) for pair in ints for x in pair) < 2 ** 63:
-        return table.matrix @ np.array(ints, dtype=np.int64), den
-    return table.matrix.astype(object) @ np.array(ints, dtype=object), den
+    if _root_table(g.legs).weight * max(abs(x) for pair in ints
+                                        for x in pair) < 2 ** 63:
+        return matrix @ np.array(ints, dtype=np.int64), den
+    return matrix.astype(object) @ np.array(ints, dtype=object), den
 
 
 def smallest_root_pairing(g: StarGraph, lam: ParamVector) -> float:
@@ -435,7 +450,7 @@ def smallest_root_pairing(g: StarGraph, lam: ParamVector) -> float:
     num, den = root_pairings(g, lam)
     pos = num[:len(num) // 2]
     if (pos[:, 1] == 0).all():
-        return int(np.abs(pos[:, 0]).min()) / den
+        return int(abs(pos[:, 0]).min()) / den
     return min(abs(complex(int(re) / den, int(im) / den)) for re, im in pos)
 
 

@@ -27,24 +27,26 @@ from . import ratlin
 from .dynkin import ParamVector, StarGraph, smallest_root_pairing
 from .errors import DegenerateSampleError, DegeneracyError
 
-# Tolerances, one name per decision (weylops, serialize and cli import them);
-# relative ones multiply the scale their check names.
-DEFAULT_TOL = 1e-9      # verify(): worst char-poly distance a witness may show
-ORBIT_TOL = 1e-8        # floor for orbits, whose witnesses lose digits near walls
-SUM_TOL = 1e-10         # residues sum to nu * Id (share of their total norm)
-ZERO_CUTOFF = 1e-6      # eigen/singular values below this share of the largest are 0
-MAX_TOL = ZERO_CUTOFF   # largest tol a document may set: it is also lift's rank cutoff
-PAIRING_FLOOR = 1e-8    # smallest overlap |w.v| of a Schlesinger projector
-GAUGE_TOL = 1e-8        # gauge check at test points (share of the residues' norm)
-POLISH_TRIGGER = 1e-9   # drift after a Schlesinger move that forces re-anchoring
-POLISH_GOAL = 2e-13     # re-anchoring Gauss-Newton target residual (fit scale)
-POLISH_ACCEPT = 1e-11   # re-anchoring residual accepted as success (fit scale)
-DRIFT_GUARDS = (1e-10, 1e-8, 5e-7)  # translate's drift guards, strict first
-FIT_TOL = 2e-11         # sampler fit residual (fit scale)
-SPAN_TOL = 1e-9         # a word extends the generated algebra (relative norm)
-ROOT_MARGIN = 0.05      # sampled lam: every root pairing this far from zero
-INTEGER_MARGIN = 0.02   # sampled lam: eigenvalue differences this far from integers
-SIG_LEN_MAX = 8         # longest signature words (length L traces m + ... + m^L words)
+# the tolerance table lives in tolerances; every name stays importable
+# from here as well
+from .tolerances import (  # noqa: F401
+    DEFAULT_TOL,
+    DRIFT_GUARDS,
+    FIT_TOL,
+    GAUGE_TOL,
+    INTEGER_MARGIN,
+    MAX_TOL,
+    ORBIT_TOL,
+    PAIRING_FLOOR,
+    POLISH_ACCEPT,
+    POLISH_GOAL,
+    POLISH_TRIGGER,
+    ROOT_MARGIN,
+    SIG_LEN_MAX,
+    SPAN_TOL,
+    SUM_TOL,
+    ZERO_CUTOFF,
+)
 
 # finite pole positions, one per leg except the last (which sits at infinity)
 DEFAULT_POLES = {3: (0.0, 1.0), 4: (0.0, -1.0, 1.0)}

@@ -230,17 +230,21 @@ def lam_from_config(p: PointConfig) -> ParamVector:
 
 
 def config_translation(p: PointConfig, mu_coeffs) -> PointConfig:
-    """Affine Weyl translation for r = 9 by mu = sum m_k alpha_k over the
-    finite simple roots (all but the last chain root): in group-law
-    coordinates u_i -> u_i - s (beta_i . mu) with s the sum of the points.
+    """Affine Weyl translation for r = 9 by mu = sum m_k alpha_k, integer
+    m_k, over the finite simple roots (all but the last chain root): in
+    group-law coordinates u_i -> u_i - s (beta_i . mu) with s the sum of
+    the points.
     """
     if p.r != 9:
         raise ValueError("lattice translations act affinely only for r = 9")
     lat = p.lattice
-    mu_coeffs = tuple(mu_coeffs)
+    mu_coeffs = tuple(Fraction(c) for c in mu_coeffs)
     if len(mu_coeffs) != 8:
         raise InputFormatError("r = 9 translations take 8 root coefficients")
-    mu = [sum((Fraction(c) * root[k] for c, root in zip(mu_coeffs, lat.simple_roots)),
+    if any(c.denominator != 1 for c in mu_coeffs):
+        raise InputFormatError("r = 9 translations take integer root "
+                               "coefficients")
+    mu = [sum((c * root[k] for c, root in zip(mu_coeffs, lat.simple_roots)),
               Fraction(0)) for k in range(10)]
     s = p.total()
     return PointConfig(tuple(u - s * lat.intersect(lat.beta_vector(i + 1), mu)
@@ -272,9 +276,19 @@ def sakai_orbit(p: PointConfig, mu, steps: int):
     lists the eight finite simple-root coefficients; for r <= 8 it is an
     integral weight vector in star-graph coordinates.  A translation adds
     a fixed vector w to u (for r = 9 the total it scales is invariant), so
-    one step gives w and row k is u_0 + k w."""
+    one step gives w and row k is u_0 + k w.
+
+    For r = 9 the wall flags are those of row 0 on every row.  The total
+    M is invariant, and a wall with coefficients c moves its sum V by
+    c . w = -M (sum_i c_i beta_i) . mu per step, an integer multiple n M
+    of M because mu is integral and the c_i sum to a multiple of 3.  So
+    V + k n M lies in Z M exactly when V does, and stays V when M = 0.
+    For r <= 8 walls are exact equalities and every row is checked."""
     step = config_translation(p, mu) if p.r == 9 else kronheimer_step(p, mu)
     w = [b - a for a, b in zip(p.values, step.values)]
     configs = [PointConfig(tuple(u + k * d for u, d in zip(p.values, w)))
                for k in range(steps + 1)]
+    if p.r == 9:
+        walls = wall_check(p)
+        return [(k, q, walls) for k, q in enumerate(configs)]
     return [(k, q, wall_check(q)) for k, q in enumerate(configs)]

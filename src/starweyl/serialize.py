@@ -6,6 +6,10 @@ only; complex floats (poles, residues) are [re, im] pairs, complex
 matrices nested lists of such pairs.  Every emitted document round-trips
 losslessly: exact fields stay exact, floats go through repr (shortest
 round-trip form).  Readers raise InputFormatError on malformed input.
+
+Only the matrix, system and quiver-representation readers and writers
+load numpy and the matrix modules, so the exact formats (lam, config,
+word, tolerances) and the JSON layer run on the standard library.
 """
 
 from __future__ import annotations
@@ -13,15 +17,19 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dynkin import AFFINE_LEGS, ParamVector, StarGraph
 from .errors import InputFormatError
-from .fuchsian import DEFAULT_TOL, MAX_TOL, FuchsianSystem, make_system
-from .quiver import DimensionVector, QuiverRep
 from .ratlin import GaussianRational, format_rational, parse_rational
 from .sakai import PointConfig
+from .tolerances import DEFAULT_TOL, MAX_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fuchsian import FuchsianSystem
+    from .quiver import QuiverRep
 
 SYSTEM_SCHEMA = "starweyl/system-v1"
 CONFIG_SCHEMA = "starweyl/config-v1"
@@ -55,11 +63,13 @@ def tol_in(x, name: str = "tol") -> float:
 
 
 def matrix_out(a) -> list:
+    import numpy as np
     return [[[float(z.real), float(z.imag)] for z in row]
             for row in np.asarray(a, dtype=complex)]
 
 
 def matrix_in(rows) -> np.ndarray:
+    import numpy as np
     try:
         return np.array([[complex(c[0], c[1]) for c in row] for row in rows],
                         dtype=complex)
@@ -96,6 +106,9 @@ def system_out(sys: FuchsianSystem) -> dict:
 def system_in(doc) -> FuchsianSystem:
     """The verified system of a document: a malformed one raises
     InputFormatError, residues off their orbits DegeneracyError."""
+    import numpy as np
+
+    from .fuchsian import make_system
     if not isinstance(doc, dict) or doc.get("schema") != SYSTEM_SCHEMA:
         raise InputFormatError(f"expected a {SYSTEM_SCHEMA} document")
     try:
@@ -158,12 +171,14 @@ def rep_out(rep: QuiverRep) -> dict:
 
 
 def _dense(m):
+    import numpy as np
     if isinstance(m, np.ndarray):
         return m
     return np.array([[complex(x) for x in row] for row in m], dtype=complex)
 
 
 def rep_in(doc) -> QuiverRep:
+    from .quiver import DimensionVector, QuiverRep
     if not isinstance(doc, dict) or doc.get("schema") != REP_SCHEMA:
         raise InputFormatError(f"expected a {REP_SCHEMA} document")
     try:

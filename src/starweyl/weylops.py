@@ -37,15 +37,6 @@ from .dynkin import (
 )
 from .errors import DegeneracyError
 from .fuchsian import (
-    DEFAULT_TOL,
-    DRIFT_GUARDS,
-    GAUGE_TOL,
-    ORBIT_TOL,
-    PAIRING_FLOOR,
-    POLISH_ACCEPT,
-    POLISH_GOAL,
-    POLISH_TRIGGER,
-    ZERO_CUTOFF,
     FuchsianSystem,
     OrbitSpec,
     _fit_scale,
@@ -69,6 +60,17 @@ from .quiver import (
     shift_params,
 )
 from .ratlin import smith_diagonal, to_complex as _cx
+from .tolerances import (
+    DEFAULT_TOL,
+    DRIFT_GUARDS,
+    GAUGE_TOL,
+    ORBIT_TOL,
+    PAIRING_FLOOR,
+    POLISH_ACCEPT,
+    POLISH_GOAL,
+    POLISH_TRIGGER,
+    ZERO_CUTOFF,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,75 @@ def test_orbit_bad_mu_is_input_error(tmp_path):
     assert "level zero" in out.stderr
 
 
+_GOLDEN_SAKAI = ["sakai", "--config",
+                 str(Path(__file__).parent / "data" / "sakai_r9_wall.json"),
+                 "--mu", "[1,0,-2,0,1,0,0,3]", "--steps", "30"]
+
+
+def _imports_numpy(code):
+    """Whether numpy is loaded after running code in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                          "print('numpy' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1] == "True"
+
+
+def test_package_roots_and_sakai_do_not_import_numpy():
+    assert not _imports_numpy("import starweyl")
+    commands = [["roots", "--type", "E8"], _GOLDEN_SAKAI]
+    code = "import contextlib, io, sys\nfrom starweyl.cli import main\n"
+    for k, argv in enumerate(commands):
+        code += (f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert main({argv!r}) == 0\n"
+                 f"assert 'numpy' not in sys.modules, {k}\n")
+    assert not _imports_numpy(code)
+    # the probe sees numpy once a matrix module is loaded
+    assert _imports_numpy("import starweyl\nstarweyl.translate")
+
+
+# the public names of the package, by the submodule that defines them
+_EXPORTS = {
+    "dynkin": ("AFFINE_TYPES", "AffineWeylElement", "CartanMatrix",
+               "ParamVector", "RootVector", "StarGraph", "cartan_matrix",
+               "enumerate_roots", "hyperplane_count", "is_regular",
+               "lattice_index", "reflect_param", "reflect_root",
+               "weight_lattice_basis", "weight_lattice_member"),
+    "errors": ("DegeneracyError", "InputFormatError", "StarweylError"),
+    "fuchsian": ("FuchsianSystem", "OrbitSpec", "Signature", "is_irreducible",
+                 "leg_from_orbit", "make_system", "normalize",
+                 "orbit_from_leg", "sample_system", "signature"),
+    "quiver": ("AlmostAffineQuiver", "DimensionVector", "IncrementedQuiver",
+               "QuiverRep", "dim_w", "expected_dim", "increment",
+               "moment_map", "orbit_dimension", "permute_params",
+               "project_params", "shift_params"),
+    "sakai": ("PicardLattice", "PointConfig", "chi", "cremona_reflect",
+              "reflect_pic", "sakai_orbit", "swap_points", "wall_check"),
+    "weylops": ("IncrementedPair", "WeylWord", "apply_word",
+                "central_reflection", "dp_orbit", "leg_reflection", "lift",
+                "light_translation_basis", "project", "scalar_shift",
+                "schlesinger_step", "tensor_shift", "translate"),
+}
+
+
+def test_package_exports_resolve_lazily():
+    import importlib
+
+    import starweyl
+    names = [n for names in _EXPORTS.values() for n in names]
+    assert len(names) == 61
+    assert sorted(starweyl.__all__) == sorted(names + ["__version__"])
+    for module, exported in _EXPORTS.items():
+        mod = importlib.import_module(f"starweyl.{module}")
+        for name in exported:
+            assert getattr(starweyl, name) is getattr(mod, name), name
+    assert set(starweyl.__all__) <= set(dir(starweyl))
+    with pytest.raises(AttributeError):
+        starweyl.no_such_name
+    with pytest.raises(ImportError):
+        from starweyl import no_such_name  # noqa: F401
+
+
 def _word(*tags):
     return {"schema": serialize.WORD_SCHEMA, "tags": list(tags)}
 
@@ -204,6 +274,8 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("orbit-args", ["--steps", "-1"]),
     ("config-args", ["--steps", "-1"]),
     ("config-args", ["--mu", "[1,2]", "--steps", "0"]),
+    ("config-args", ["--mu", "[true,false,0,0,0,0]"]),
+    ("orbit-args", ["--mu", "[true,false,false,false]"]),
 ], ids=["leg-without-node", "leg-center", "leg-out-of-range", "tags-not-a-list",
         "float-tensor-shift",
         "two-point-config", "lam-zero-denominator", "lam-off-level-zero",
@@ -216,7 +288,8 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         "float-lam", "float-offsets",
         "sample-negative-tol", "sample-zero-tol", "sample-huge-tol",
         "orbit-zero-sig-len", "orbit-negative-sig-len", "orbit-huge-sig-len",
-        "orbit-negative-steps", "sakai-negative-steps", "sakai-bad-mu-no-steps"])
+        "orbit-negative-steps", "sakai-negative-steps", "sakai-bad-mu-no-steps",
+        "sakai-bool-mu", "orbit-bool-mu"])
 def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     args = []
     if kind.endswith("-args"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from starweyl import cli
 from starweyl.dynkin import reflect_param
+from starweyl.errors import InputFormatError
 from starweyl.sakai import (
     PicardLattice,
     PointConfig,
@@ -193,6 +194,10 @@ def test_config_translation_r9():
     q = config_translation(p, mu)
     for line in lat.simple_roots:
         assert chi(q, line) == chi(p, line) - s * lat.intersect(line, tuple(mu_vec))
+    # a lattice translation has integer root coefficients
+    assert config_translation(p, tuple(map(F, mu))) == q
+    with pytest.raises(InputFormatError):
+        config_translation(p, (F(1, 2),) + mu[1:])
 
 
 def test_kronheimer_step_r_le_8():
@@ -302,11 +307,11 @@ def _solve_two(vals, a, b, rhs):
 
 
 @st.composite
-def wall_configs(draw):
-    """Rational r-point configurations, r = 6-9, optionally forced onto a
-    drawn wall (for r = 9 a drawn integer multiple m of the total) and,
-    for r = 9, onto a total of 0 or a small nonzero value."""
-    r = draw(st.integers(6, 9))
+def wall_configs(draw, sizes=st.integers(6, 9)):
+    """Rational r-point configurations, r drawn from sizes, optionally
+    forced onto a drawn wall (for r = 9 a drawn integer multiple m of the
+    total) and, for r = 9, onto a total of 0 or a small nonzero value."""
+    r = draw(sizes)
     vals = draw(st.lists(_RATIONAL, min_size=r, max_size=r))
     kinds = [k for k, size in _WALL_SIZES.items() if size <= r]
     kind = draw(st.none() | st.sampled_from(kinds))
@@ -333,6 +338,22 @@ def test_wall_check_matches_the_fraction_loops(case):
     assert got == _reference_wall_check(p)
     if forced is not None:
         assert forced in {kind for kind, _ in got}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wall_configs(st.just(9)),
+       mu=st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+       steps=st.integers(0, 6))
+def test_sakai_orbit_r9_reuses_row_0_flags(case, mu, steps):
+    """For r = 9 sakai_orbit checks the walls of row 0 only; checking
+    every row gives the same flags, also when the total is 0."""
+    p, forced = case
+    rows = sakai_orbit(p, mu, steps)
+    assert [walls for _, _, walls in rows] == \
+        [wall_check(q) for _, q, _ in rows]
+    if forced is not None:
+        assert all(forced in {kind for kind, _ in walls}
+                   for _, _, walls in rows)
 
 
 @pytest.mark.parametrize("r", (6, 7, 8, 9))
