@@ -1,8 +1,8 @@
 """Affine Weyl group actions on star quivers and Fuchsian systems, with
 the dual Cremona dynamics on point configurations.
 
-Modules: dynkin (exact root/Weyl engine), quiver (moment maps and the
-increment calculus), fuchsian (residue tuples, sampling, invariants),
+Modules: dynkin (exact root/Weyl engine), quiver (exact moment maps and
+the increment calculus), fuchsian (residue tuples, sampling, invariants),
 weylops (matrix-level reflections, middle convolution, Schlesinger
 translations), sakai (Picard lattice and cuspidal-cubic configurations),
 tolerances (the tolerance table), serialize (file formats) and cli

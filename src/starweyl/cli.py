@@ -4,9 +4,9 @@ Subcommands: roots, regular, sample, apply, orbit, sakai.  All randomness
 is seeded, logs go to stderr, data to stdout or --out.  Exit codes:
 0 ok, 2 input error, 3 degeneracy or wall error.
 
-The matrix modules (fuchsian, quiver, weylops, and numpy with them) are
-imported by the subcommands that call them, so roots and sakai run on
-the exact modules alone.
+The matrix modules (fuchsian, weylops, and numpy with them) are imported
+by the subcommands that call them, so roots and sakai run on the exact
+modules alone.
 """
 
 from __future__ import annotations
@@ -27,13 +27,16 @@ from .dynkin import (
 )
 from .errors import DegeneracyError, InputFormatError, StarweylError
 from .ratlin import format_rational
-from .tolerances import DEFAULT_TOL, SIG_LEN_MAX
+from .tolerances import DEFAULT_TOL, SIG_LEN_MAX, STEPS_MAX
 
 
 def _write(text: str, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -112,6 +115,7 @@ def cmd_regular(args) -> int:
 
 def cmd_sample(args) -> int:
     from .fuchsian import sample_system
+    _in_range(args.seed, "--seed", 0)
     serialize.tol_in(args.tol, "--tol")
     sysm, lam = sample_system(args.type, args.seed, tol=args.tol)
     err = sysm.verify()
@@ -143,7 +147,7 @@ def cmd_apply(args) -> int:
 
 def cmd_orbit(args) -> int:
     from .weylops import dp_orbit
-    _in_range(args.steps, "--steps", 0)
+    _in_range(args.steps, "--steps", 0, STEPS_MAX)
     _in_range(args.sig_len, "--sig-len", 1, SIG_LEN_MAX)
     sysm = serialize.system_in(_read_json(args.system))
     mu = _parse_mu(args.mu, sysm.graph)
@@ -154,7 +158,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_sakai(args) -> int:
     from .sakai import sakai_orbit
-    _in_range(args.steps, "--steps", 0)
+    _in_range(args.steps, "--steps", 0, STEPS_MAX)
     p = serialize.config_in(_read_json(args.config))
     rows = sakai_orbit(p, tuple(_int_list(args.mu)), args.steps)
     lines = [",".join(["step"] + [f"u_{i + 1}" for i in range(p.r)] + ["walls"])]

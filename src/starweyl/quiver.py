@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import ratlin
 from .dynkin import ParamVector, RootVector, StarGraph
+from .ratlin import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -52,35 +51,15 @@ class DimensionVector:
 # representations and the moment map
 
 
-def _is_np(x) -> bool:
-    return isinstance(x, np.ndarray)
-
-
-def _either(np_op, exact_op):
-    """Binary matrix operation on numpy arrays if either side is one,
-    exact otherwise."""
-    def op(a, b):
-        if _is_np(a) or _is_np(b):
-            return np_op(np.asarray(a), np.asarray(b))
-        return exact_op(a, b)
-    return op
-
-
-_mul = _either(np.matmul, ratlin.mmul)
-_sub = _either(np.subtract, ratlin.msub)
-_add = _either(np.add, ratlin.madd)
-
-
-def _shape(a):
-    return a.shape if _is_np(a) else (len(a), len(a[0]))
-
-
-def _zeros(n, exact: bool):
-    return ratlin.zeros(n) if exact else np.zeros((n, n), dtype=complex)
-
-
-def _trace(a):
-    return complex(np.trace(a)) if _is_np(a) else ratlin.trace(a)
+def _check_matrix(m, rows: int, cols: int, what: str):
+    """TypeError unless m is a tuple of tuples of ints, Fractions or Gaussian
+    rationals, ValueError unless it is rows x cols."""
+    if not (isinstance(m, tuple) and all(isinstance(r, tuple) for r in m)) \
+            or not all(isinstance(x, (int, Fraction, GaussianRational))
+                       for r in m for x in r):
+        raise TypeError(f"{what} must be a tuple of tuples of exact entries")
+    if len(m) != rows or any(len(r) != cols for r in m):
+        raise ValueError(f"{what} shape mismatch")
 
 
 @dataclass(frozen=True)
@@ -88,8 +67,7 @@ class QuiverRep:
     """One matrix in each direction for every edge of a star graph.
 
     phi[(t, h)] maps the space at t to the space at h; phi_star[(t, h)]
-    goes back.  Matrices may be numpy complex arrays or exact tuples of
-    tuples of Fractions; the moment map handles both.
+    goes back.  Matrices are exact tuples of tuples, as ratlin builds them.
     """
 
     graph: StarGraph
@@ -99,32 +77,25 @@ class QuiverRep:
 
     def __post_init__(self):
         for (t, h) in self.graph.edges:
-            f = self.phi[(t, h)]
-            b = self.phi_star[(t, h)]
-            if _shape(f) != (self.dims[h], self.dims[t]):
-                raise ValueError(f"phi shape mismatch on edge {(t, h)}")
-            if _shape(b) != (self.dims[t], self.dims[h]):
-                raise ValueError(f"phi* shape mismatch on edge {(t, h)}")
-
-    @property
-    def exact(self) -> bool:
-        return not any(_is_np(v) for v in self.phi.values())
+            _check_matrix(self.phi[(t, h)], self.dims[h], self.dims[t],
+                          f"phi on edge {(t, h)}")
+            _check_matrix(self.phi_star[(t, h)], self.dims[t], self.dims[h],
+                          f"phi* on edge {(t, h)}")
 
 
 def moment_map(rep: QuiverRep) -> dict:
     """Node-indexed moment map values mu_i of the representation."""
     g = rep.graph
-    out = {i: _zeros(rep.dims[i], rep.exact) for i in range(g.node_count)}
+    out = {i: ratlin.zeros(rep.dims[i]) for i in range(g.node_count)}
     for (t, h) in g.edges:
         f, b = rep.phi[(t, h)], rep.phi_star[(t, h)]
-        out[h] = _add(out[h], _mul(f, b))
-        out[t] = _sub(out[t], _mul(b, f))
+        out[h] = ratlin.madd(out[h], ratlin.mmul(f, b))
+        out[t] = ratlin.msub(out[t], ratlin.mmul(b, f))
     return out
 
 
 def moment_trace_sum(mu: dict):
-    vals = [_trace(m) for m in mu.values()]
-    return sum(vals[1:], vals[0])
+    return sum((ratlin.trace(m) for m in mu.values()), Fraction(0))
 
 
 def dim_w(g: StarGraph, dims) -> int:

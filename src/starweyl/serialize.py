@@ -7,9 +7,9 @@ matrices nested lists of such pairs.  Every emitted document round-trips
 losslessly: exact fields stay exact, floats go through repr (shortest
 round-trip form).  Readers raise InputFormatError on malformed input.
 
-Only the matrix, system and quiver-representation readers and writers
-load numpy and the matrix modules, so the exact formats (lam, config,
-word, tolerances) and the JSON layer run on the standard library.
+Only the matrix and system readers and writers load numpy and the
+matrix modules, so the exact formats (lam, config, word, tolerances),
+the orbit CSV and the JSON layer run on the standard library.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .fuchsian import FuchsianSystem
-    from .quiver import QuiverRep
 
 SYSTEM_SCHEMA = "starweyl/system-v1"
 CONFIG_SCHEMA = "starweyl/config-v1"
 WORD_SCHEMA = "starweyl/word-v1"
 LAM_SCHEMA = "starweyl/lam-v1"
-REP_SCHEMA = "starweyl/quiver-rep-v1"
 
 
 def _scalar_in(x):
@@ -158,70 +156,18 @@ def config_in(doc) -> PointConfig:
         raise InputFormatError(f"malformed configuration: {exc}")
 
 
-def rep_out(rep: QuiverRep) -> dict:
-    """Per-edge complex matrices; exact representations are converted to
-    floating point on the way out."""
-    edges = []
-    for (t, h) in rep.graph.edges:
-        edges.append({"edge": [t, h],
-                      "phi": matrix_out(_dense(rep.phi[(t, h)])),
-                      "phi_star": matrix_out(_dense(rep.phi_star[(t, h)]))})
-    return {"schema": REP_SCHEMA, "legs": list(rep.graph.legs),
-            "dims": list(rep.dims.coords), "edges": edges}
-
-
-def _dense(m):
-    import numpy as np
-    if isinstance(m, np.ndarray):
-        return m
-    return np.array([[complex(x) for x in row] for row in m], dtype=complex)
-
-
-def rep_in(doc) -> QuiverRep:
-    from .quiver import DimensionVector, QuiverRep
-    if not isinstance(doc, dict) or doc.get("schema") != REP_SCHEMA:
-        raise InputFormatError(f"expected a {REP_SCHEMA} document")
-    try:
-        graph = StarGraph(tuple(doc["legs"]))
-        dims = DimensionVector(tuple(doc["dims"]))
-        phi, phi_star = {}, {}
-        for entry in doc["edges"]:
-            edge = tuple(entry["edge"])
-            phi[edge] = matrix_in(entry["phi"])
-            phi_star[edge] = matrix_in(entry["phi_star"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed quiver representation: {exc}")
-    return QuiverRep(graph, dims, phi, phi_star)
-
-
-def _signature_table(head, rows) -> str:
-    """CSV whose columns are head and then the (re, im) float pairs of a
-    signature; rows holds (leading cells, signature) pairs."""
-    width = len(rows[0][1].values)
-    lines = [",".join(head + [x for k in range(width)
-                              for x in (f"sig{k}_re", f"sig{k}_im")])]
-    for cells, sig in rows:
-        lines.append(",".join(cells + [repr(x) for v in sig.values
-                                       for x in (v.real, v.imag)]))
-    return "\n".join(lines) + "\n"
-
-
-def signature_csv(signatures, labels=None) -> str:
-    """Signatures as CSV rows of (re, im) float pairs, one row per entry."""
-    if not signatures:
-        return ""
-    return _signature_table(["label"], [
-        ([str(labels[k]) if labels is not None else str(k)], sig)
-        for k, sig in enumerate(signatures)])
-
-
 def orbit_csv(rows) -> str:
     """dp_orbit rows (k, lam_k, signature_k) as CSV: the step, the exact
-    parameters and the signature."""
-    return _signature_table(
-        ["step"] + [f"lam_{i}" for i in range(len(rows[0][1]))],
-        [([str(k)] + [format_rational(v) for v in lam.values], sig)
-         for k, lam, sig in rows])
+    parameters and then the (re, im) float pairs of the signature."""
+    width = len(rows[0][2].values)
+    lines = [",".join(["step"] + [f"lam_{i}" for i in range(len(rows[0][1]))]
+                      + [x for k in range(width)
+                         for x in (f"sig{k}_re", f"sig{k}_im")])]
+    for k, lam, sig in rows:
+        lines.append(",".join([str(k)] + [format_rational(v) for v in lam.values]
+                              + [repr(x) for v in sig.values
+                                 for x in (v.real, v.imag)]))
+    return "\n".join(lines) + "\n"
 
 
 def word_out(tags) -> dict:

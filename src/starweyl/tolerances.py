@@ -22,3 +22,4 @@ SPAN_TOL = 1e-9         # a word extends the generated algebra (relative norm)
 ROOT_MARGIN = 0.05      # sampled lam: every root pairing this far from zero
 INTEGER_MARGIN = 0.02   # sampled lam: eigenvalue differences this far from integers
 SIG_LEN_MAX = 8         # longest signature words (length L traces m + ... + m^L words)
+STEPS_MAX = 10_000      # most orbit steps; every row is built before any is written

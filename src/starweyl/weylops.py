@@ -19,7 +19,6 @@ repairing it.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -461,57 +460,78 @@ def schlesinger_step(sys: FuchsianSystem, pole_i: int, slot_k: int,
 
 
 def _pole_tables(t_shifts, mults, bound: int):
-    """Up and down move counts of one pole for every per-pole constant c in
+    """Up and total move counts of one pole for every per-pole constant c in
     [-bound, bound]: U[..., c + bound] = sum_j mults_j max(t_j + c, 0) and
-    D[..., c + bound] = sum_j mults_j max(-(t_j + c), 0).  The slots run
-    along the last axis of t_shifts; leading axes (candidate vectors) are
-    kept, and one slot is added at a time to keep the temporaries small."""
+    T[..., c + bound] = sum_j mults_j |t_j + c|.  The slots run along the last
+    axis of t_shifts; leading axes (candidate vectors) are kept, and one slot
+    is added at a time to keep the temporaries small."""
     t_shifts = np.asarray(t_shifts, dtype=np.int64)
     cs = np.arange(-bound, bound + 1)
-    up = dn = np.zeros(t_shifts.shape[:-1] + cs.shape, dtype=np.int64)
+    up = tot = np.zeros(t_shifts.shape[:-1] + cs.shape, dtype=np.int64)
     for j, mult in enumerate(mults):
         x = t_shifts[..., j, None] + cs
         up = up + mult * np.maximum(x, 0)
-        dn = dn + mult * np.maximum(-x, 0)
-    return up, dn
+        tot = tot + mult * np.abs(x)
+    return up, tot
+
+
+def _plan_keys(mu_c, shifts, mults):
+    """Keys of every choice of per-pole constants c_p with sum -mu_c (the
+    tensoring freedom), for the N vectors with central components mu_c
+    and pole-p slot shifts shifts[p] (multiplicities mults[p]).  The head
+    c_0..c_{m-2} runs over [-B, B]^(m-1) in itertools.product order, B the
+    largest per-vector bound max(|mu_c|, |shifts|) + 1, and the last
+    constant closes the sum.  A choice makes half = sum_p U_p[c_p] moves
+    (_pole_tables), of which forced = max(max_p T_p[c_p] - half, 0) pair up
+    and down slots of one pole.  Yields blocks of at most _KEY_BLOCK keys
+    forced * scale + half, shaped (N, H) and _MASKED where a constant lies
+    outside that vector's own bound, with scale (above every half) and the
+    (m - 1, H) heads."""
+    mu_c = np.asarray(mu_c, dtype=np.int64)
+    bound = np.maximum(np.abs(mu_c), np.abs(np.hstack(shifts)).max(axis=1)) + 1
+    big = int(bound.max())
+    ups, tots = zip(*(_pole_tables(t, mrow, big)
+                      for t, mrow in zip(shifts, mults)))
+    scale = sum(int(up.max()) for up in ups) + 1
+    cube = (2 * big + 1,) * (len(mults) - 1)
+    count, step = int(np.prod(cube)), max(1, _KEY_BLOCK // len(mu_c))
+    for lo in range(0, count, step):
+        heads = np.array(np.unravel_index(np.arange(lo, min(lo + step, count)),
+                                          cube)) - big
+        last = -mu_c[:, None] - heads.sum(axis=0)
+        col = np.clip(last, -big, big) + big
+        half = np.take_along_axis(ups[-1], col, axis=1)
+        worst = np.take_along_axis(tots[-1], col, axis=1)
+        for up, tot, c in zip(ups, tots, heads + big):
+            half += up[:, c]
+            np.maximum(worst, tot[:, c], out=worst)
+        key = np.maximum(worst - half, 0) * scale + half
+        ok = np.maximum(np.abs(last), np.abs(heads).max(axis=0)) <= bound[:, None]
+        yield np.where(ok, key, _MASKED), scale, heads
 
 
 def _offset_candidates(t_shifts, mults, mu_c: int, keep: int = 3):
-    """Ranked choices of per-pole constants c_p with sum -mu_c (the
-    tensoring freedom), minimising first the number of same-pole up/down
-    pairings that would need rerouting, then the total number of
-    elementary moves.  Distinct plans dodge distinct walls, so callers may
-    retry down the list.  Returns [(cost, constants), ...].
-
-    The cost of constants cs depends on pole p only through c_p, so each
-    pole's up count U_p[c] and down count D_p[c] are tabulated once (see
-    _pole_tables); a candidate then costs m lookups: half = sum U_p[c_p]
-    elementary moves, of which forced = max(max_p(U_p + D_p)[c_p] - half, 0)
-    pair up and down slots of one pole.  Ties go to the smaller constants."""
-    m = len(t_shifts)
-    bound = max(abs(mu_c), max((abs(x) for row in t_shifts for x in row),
-                               default=0)) + 1
-    ups, both = [], []
-    for row, mrow in zip(t_shifts, mults):
-        up, dn = _pole_tables(row, mrow, bound)
-        ups.append(up.tolist())
-        both.append((up + dn).tolist())
-
-    def scored():
-        for head in itertools.product(range(-bound, bound + 1), repeat=m - 1):
-            last = -mu_c - sum(head)
-            if abs(last) > bound:
-                continue
-            cs = head + (last,)
-            half = sum(ups[p][c + bound] for p, c in enumerate(cs))
-            forced = max(both[p][c + bound] for p, c in enumerate(cs)) - half
-            yield (max(forced, 0), half), cs
-
-    return heapq.nsmallest(keep, scored())
+    """Ranked choices of per-pole constants, minimising first the number of
+    same-pole up/down pairings that would need rerouting, then the total
+    number of elementary moves (_plan_keys).  Distinct plans dodge
+    distinct walls, so callers may retry down the list.  Returns
+    [(cost, constants), ...]; ties go to the smaller constants."""
+    ranked = []
+    for keys, scale, heads in _plan_keys([mu_c], [[row] for row in t_shifts],
+                                         mults):
+        row = keys[0]
+        valid = np.flatnonzero(row != _MASKED)
+        for h in valid[np.argsort(row[valid], kind="stable")[:keep]]:
+            head = heads[:, h].tolist()
+            ranked.append(((int(row[h]) // scale, int(row[h]) % scale),
+                           tuple(head) + (int(-mu_c - sum(head)),)))
+    return sorted(ranked)[:keep]
 
 
 _PLANS = 3        # ranked move plans translate tries
 _ORDERS = 8       # pairing orders (order seeds) per plan
+_MASKED = np.iinfo(np.int64).max  # key of constants outside a vector's bound
+_KEY_BLOCK = 1 << 14  # keys per _plan_keys block, to keep its temporaries small
 
 
 @functools.lru_cache(maxsize=64)
@@ -548,14 +568,10 @@ def _move_profile(g: StarGraph, coords):
 
 def _min_offset_costs(g: StarGraph, coords) -> list:
     """The best cost _offset_candidates(*_move_profile(g, c))[0][0] of every
-    coordinate vector c in coords, scored all at once.
-
-    The profile is linear in the coordinates (the multiplicities do not
-    depend on them), so the slot shifts of all N vectors come from one
-    integer matrix product.  Each pole gets (N, 2B + 1) tables with B the
-    largest per-vector bound; one pass over the (2B + 1)^(m - 1) heads keeps
-    a running minimum of forced * K + half over the N vectors, masking the
-    constants outside each vector's own bound."""
+    coordinate vector c in coords, scored all at once.  The profile is
+    linear in the coordinates (the multiplicities do not depend on them),
+    so the slot shifts of all vectors come from one integer matrix
+    product, and the cost is the row minimum of their _plan_keys."""
     coords = np.asarray(coords, dtype=np.int64)
     units = [_move_profile(g, e)
              for e in np.eye(coords.shape[1], dtype=int).tolist()]
@@ -563,27 +579,10 @@ def _min_offset_costs(g: StarGraph, coords) -> list:
     mu_c = coords @ np.array([u[0] for u in units])
     shifts = [coords @ np.array([u[1][p] for u in units])
               for p in range(len(mults))]
-    bound = np.maximum(np.abs(mu_c), np.abs(np.hstack(shifts)).max(axis=1)) + 1
-    big = int(bound.max())
-    ups, both = [], []
-    for t, mrow in zip(shifts, mults):
-        up, dn = _pole_tables(t, mrow, big)
-        ups.append(up)
-        both.append(up + dn)
-    scale = sum(int(up.max()) for up in ups) + 1  # exceeds every half
-    rows = np.arange(len(coords))
-    best = np.full(len(coords), np.iinfo(np.int64).max)
-    for head in itertools.product(range(-big, big + 1), repeat=len(mults) - 1):
-        last = -mu_c - sum(head)
-        ok = (np.abs(last) <= bound) & (max(map(abs, head), default=0) <= bound)
-        col = np.clip(last, -big, big) + big
-        half, worst = ups[-1][rows, col], both[-1][rows, col]
-        for up, tot, c in zip(ups, both, head):
-            half = half + up[:, c + big]
-            worst = np.maximum(worst, tot[:, c + big])
-        key = np.maximum(worst - half, 0) * scale + half
-        np.minimum(best, np.where(ok, key, best), out=best)
-    return [(int(k // scale), int(k % scale)) for k in best]
+    best = np.full(len(coords), _MASKED)
+    for keys, scale, _ in _plan_keys(mu_c, shifts, mults):
+        np.minimum(best, keys.min(axis=1), out=best)
+    return [(int(k) // scale, int(k) % scale) for k in best]
 
 
 @functools.cache
@@ -593,10 +592,9 @@ def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
     e_i - delta_i e_ext contains needlessly heavy directions).
 
     Every vector with coordinates in {-1, 0, 1} and a small extending
-    component is scored by the best plan _offset_candidates would give it,
-    all vectors at once from per-pole tables (_min_offset_costs); the
-    lightest vectors, ties broken by coords, are taken greedily while they
-    extend a unimodular set."""
+    component is scored by its best plan (_min_offset_costs); the lightest
+    vectors, ties broken by coords, are taken greedily while they extend a
+    unimodular set."""
     r = len(g.finite_nodes)
     delta = g.delta
 

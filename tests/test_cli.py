@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from starweyl import serialize
 from starweyl.fuchsian import SIG_LEN_MAX, sample_system, signature
+from starweyl.tolerances import STEPS_MAX
 
 
 def run_cli(*args):
@@ -137,6 +138,14 @@ def test_exit_codes():
     assert out.returncode == 2  # argparse rejects the choice
 
 
+def test_unwritable_out_is_input_error(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    out = run_cli("sample", "--type", "D4", "--out", str(path))
+    assert out.returncode == 2
+    assert out.stderr.splitlines()[-1].startswith(f"input error: cannot write {path}")
+    assert out.stdout == "" and not path.parent.exists()
+
+
 def test_orbit_bad_mu_is_input_error(tmp_path):
     sysfile = tmp_path / "sys.json"
     run_cli("sample", "--type", "D4", "--seed", "4", "--out", str(sysfile))
@@ -162,6 +171,7 @@ def _imports_numpy(code):
 
 def test_package_roots_and_sakai_do_not_import_numpy():
     assert not _imports_numpy("import starweyl")
+    assert not _imports_numpy("import starweyl.quiver")
     commands = [["roots", "--type", "E8"], _GOLDEN_SAKAI]
     code = "import contextlib, io, sys\nfrom starweyl.cli import main\n"
     for k, argv in enumerate(commands):
@@ -268,11 +278,14 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("sample", "-1"),
     ("sample", "0"),
     ("sample", "1e300"),
+    ("sample-args", ["--seed", "-1"]),
     ("orbit-args", ["--sig-len", "0"]),
     ("orbit-args", ["--sig-len", "-3"]),
     ("orbit-args", ["--sig-len", "1000000000"]),
     ("orbit-args", ["--steps", "-1"]),
+    ("orbit-args", ["--steps", str(STEPS_MAX + 1)]),
     ("config-args", ["--steps", "-1"]),
+    ("config-args", ["--steps", str(STEPS_MAX + 1)]),
     ("config-args", ["--mu", "[1,2]", "--steps", "0"]),
     ("config-args", ["--mu", "[true,false,0,0,0,0]"]),
     ("orbit-args", ["--mu", "[true,false,false,false]"]),
@@ -287,8 +300,10 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         "orbit-string-tol",
         "float-lam", "float-offsets",
         "sample-negative-tol", "sample-zero-tol", "sample-huge-tol",
+        "sample-negative-seed",
         "orbit-zero-sig-len", "orbit-negative-sig-len", "orbit-huge-sig-len",
-        "orbit-negative-steps", "sakai-negative-steps", "sakai-bad-mu-no-steps",
+        "orbit-negative-steps", "orbit-huge-steps", "sakai-negative-steps",
+        "sakai-huge-steps", "sakai-bad-mu-no-steps",
         "sakai-bool-mu", "orbit-bool-mu"])
 def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     args = []
@@ -316,7 +331,7 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
         out = run_cli("sakai", "--config", str(path), "--mu", "[1,0,0,0,0,0]",
                       *args)
     elif kind == "sample":
-        out = run_cli("sample", "--type", "D4", "--tol", doc)
+        out = run_cli("sample", "--type", "D4", *(args or ["--tol", doc]))
     else:
         out = run_cli("regular", "--type", "D4", "--lam-file", str(path))
     assert out.returncode == 2, out.stderr

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -60,46 +61,63 @@ def test_expected_dimension_two_for_all_types():
     assert expected_dim(dims, 6) == 72 - 2 * 35 == 2
 
 
+def _exact_rep(g, dims, entry):
+    """A representation whose matrix entries come from entry()."""
+    def block(rows, cols):
+        return ratlin.mat([[entry() for _ in range(cols)] for _ in range(rows)])
+    phi = {e: block(dims[e[1]], dims[e[0]]) for e in g.edges}
+    psi = {e: block(dims[e[0]], dims[e[1]]) for e in g.edges}
+    return QuiverRep(g, dims, phi, psi)
+
+
 def test_moment_map_zero_rep():
     g = StarGraph.affine("D4")
     dims = DimensionVector.delta(g)
-    phi = {e: np.zeros((dims[e[1]], dims[e[0]]), dtype=complex) for e in g.edges}
-    psi = {e: np.zeros((dims[e[0]], dims[e[1]]), dtype=complex) for e in g.edges}
-    mu = moment_map(QuiverRep(g, dims, phi, psi))
-    assert all(np.all(m == 0) for m in mu.values())
+    mu = moment_map(_exact_rep(g, dims, lambda: F(0)))
+    assert all(m == ratlin.zeros(dims[i]) for i, m in mu.items())
 
 
-def test_moment_map_trace_sum_random_float_rep():
-    g = StarGraph.affine("D4")
-    dims = DimensionVector.delta(g)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        phi = {e: rng.standard_normal((dims[e[1]], dims[e[0]]))
-               + 1j * rng.standard_normal((dims[e[1]], dims[e[0]]))
-               for e in g.edges}
-        psi = {e: rng.standard_normal((dims[e[0]], dims[e[1]]))
-               + 1j * rng.standard_normal((dims[e[0]], dims[e[1]]))
-               for e in g.edges}
-        rep = QuiverRep(g, dims, phi, psi)
-        mu = moment_map(rep)
-        scale = sum(np.linalg.norm(m) for m in mu.values())
-        assert abs(moment_trace_sum(mu)) < 1e-12 * max(1.0, scale)
+def test_moment_map_trace_sum_random_exact_rep():
+    rng = random.Random(2)
+    for name, gaussian in itertools.product(AFFINE_TYPES, (False, True)):
+        g = StarGraph.affine(name)
+        dims = DimensionVector.delta(g)
+
+        def entry():
+            x = F(rng.randint(-9, 9), rng.randint(1, 5))
+            return ratlin.GaussianRational(x, rng.randint(-3, 3)) if gaussian else x
+        mu = moment_map(_exact_rep(g, dims, entry))
+        assert any(m != ratlin.zeros(dims[i]) for i, m in mu.items())
+        assert moment_trace_sum(mu) == 0
 
 
 def test_moment_map_shape_mismatch():
     g = StarGraph.affine("D4")
     dims = DimensionVector.delta(g)
-    phi = {e: np.zeros((dims[e[1]], dims[e[0]])) for e in g.edges}
-    psi = {e: np.zeros((dims[e[0]], dims[e[1]])) for e in g.edges}
-    phi[g.edges[0]] = np.zeros((3, 3))
+    rep = _exact_rep(g, dims, lambda: F(0))
+    phi = {**rep.phi, g.edges[0]: ratlin.zeros(3)}
     with pytest.raises(ValueError):
-        QuiverRep(g, dims, phi, psi)
+        QuiverRep(g, dims, phi, rep.phi_star)
+
+
+def test_quiver_rep_rejects_non_exact_matrices():
+    g = StarGraph.affine("D4")
+    dims = DimensionVector.delta(g)
+    rep = _exact_rep(g, dims, lambda: F(1, 2))
+    e = g.edges[0]
+    for bad in (np.array(rep.phi[e], dtype=float),
+                np.array(rep.phi[e], dtype=object),
+                tuple(tuple(float(x) for x in row) for row in rep.phi[e]),
+                [list(row) for row in rep.phi[e]]):
+        with pytest.raises(TypeError):
+            QuiverRep(g, dims, {**rep.phi, e: bad}, rep.phi_star)
+        with pytest.raises(TypeError):
+            QuiverRep(g, dims, rep.phi, {**rep.phi_star, e: bad})
 
 
 def test_leg_chain_exact_eigenvalues():
     lam3, lam2, lam1 = F(1, 3), F(2, 5), F(-3, 7)
     rep = leg_chain_rep((4, 3, 2, 1), (lam3, lam2, lam1), seed=4)
-    assert rep.exact
     mu = moment_map(rep)
     assert moment_trace_sum(mu) == 0
     # the moment value at each leg node is the prescribed scalar

@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from starweyl import serialize
@@ -48,38 +47,6 @@ def test_word_round_trip():
     back = serialize.word_in(serialize.loads(serialize.dumps(
         serialize.word_out(tags))))
     assert back == tags
-
-
-def test_quiver_rep_round_trip():
-    from starweyl.dynkin import StarGraph
-    from starweyl.quiver import DimensionVector, QuiverRep, moment_map, \
-        moment_trace_sum
-    g = StarGraph.affine("D4")
-    dims = DimensionVector.delta(g)
-    rng = np.random.default_rng(3)
-    phi = {e: rng.standard_normal((dims[e[1]], dims[e[0]]))
-           + 1j * rng.standard_normal((dims[e[1]], dims[e[0]]))
-           for e in g.edges}
-    psi = {e: rng.standard_normal((dims[e[0]], dims[e[1]]))
-           + 1j * rng.standard_normal((dims[e[0]], dims[e[1]]))
-           for e in g.edges}
-    rep = QuiverRep(g, dims, phi, psi)
-    back = serialize.rep_in(serialize.loads(serialize.dumps(
-        serialize.rep_out(rep))))
-    for e in g.edges:
-        assert (back.phi[e] == rep.phi[e]).all()
-        assert (back.phi_star[e] == rep.phi_star[e]).all()
-    assert abs(moment_trace_sum(moment_map(back))) < 1e-12
-
-
-def test_signature_csv():
-    sysm, _ = sample_system("D4", seed=1)
-    sig = signature(sysm, 2)
-    text = serialize.signature_csv([sig, sig], labels=["a", "b"])
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("label,sig0_re,sig0_im")
-    assert len(lines) == 3
-    assert float(lines[1].split(",")[1]) == sig.values[0].real
 
 
 def test_malformed_documents_raise():

@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -655,6 +656,19 @@ def test_offset_candidates_match_brute_force(profile, keep):
     got = _offset_candidates(t_shifts, mults, mu_c, keep)
     assert got == _reference_offset_candidates(t_shifts, mults, mu_c, keep)
     assert all(type(x) is int for cost, cs in got for x in cost + cs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_profiles(), st.sampled_from((1, 3)), st.integers(8, 256))
+def test_offset_candidates_in_small_blocks_match_brute_force(profile, keep,
+                                                             block):
+    # a single-vector ranking spans several key blocks only for large
+    # shifts; small blocks exercise the merge across blocks
+    from starweyl import weylops
+    t_shifts, mults, mu_c = profile
+    with mock.patch.object(weylops, "_KEY_BLOCK", block):
+        got = weylops._offset_candidates(t_shifts, mults, mu_c, keep)
+    assert got == _reference_offset_candidates(t_shifts, mults, mu_c, keep)
 
 
 @pytest.mark.parametrize("name", AFFINE_TYPES)
