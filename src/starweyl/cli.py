@@ -27,7 +27,7 @@ from .dynkin import (
 )
 from .errors import DegeneracyError, InputFormatError, StarweylError
 from .ratlin import format_rational
-from .tolerances import DEFAULT_TOL, SIG_LEN_MAX, STEPS_MAX
+from .tolerances import DEFAULT_TOL, MU_NORM_MAX, SIG_LEN_MAX, STEPS_MAX
 
 
 def _write(text: str, out):
@@ -66,8 +66,7 @@ def _in_range(value: int, flag: str, lo: int, hi: float = float("inf")):
         raise InputFormatError(f"{flag} must be from {lo} to {hi}, got {value}")
 
 
-def _parse_mu(text: str, graph: StarGraph) -> ParamVector:
-    doc = _int_list(text)
+def _parse_mu(doc: list, graph: StarGraph) -> ParamVector:
     if len(doc) == graph.node_count - 1:
         # finite coordinates; complete the extending component
         ext = -sum(graph.delta[i] * c for i, c in zip(graph.finite_nodes, doc))
@@ -149,8 +148,13 @@ def cmd_orbit(args) -> int:
     from .weylops import dp_orbit
     _in_range(args.steps, "--steps", 0, STEPS_MAX)
     _in_range(args.sig_len, "--sig-len", 1, SIG_LEN_MAX)
+    doc = _int_list(args.mu)
+    # every partial sum of a full vector is at most sum |mu_i|, and so is
+    # the bound B of the (2B + 1)^(m - 1) move plans translate ranks; a
+    # completed extending entry is at most max(delta) times the sum
+    _in_range(sum(abs(x) for x in doc), "sum |--mu|", 0, MU_NORM_MAX)
     sysm = serialize.system_in(_read_json(args.system))
-    mu = _parse_mu(args.mu, sysm.graph)
+    mu = _parse_mu(doc, sysm.graph)
     rows = dp_orbit(sysm, mu, args.steps, sig_len=args.sig_len)
     _write(serialize.orbit_csv(rows), args.out)
     return 0

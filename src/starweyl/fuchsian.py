@@ -18,7 +18,7 @@ import functools
 import itertools
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,12 +30,14 @@ from .errors import DegenerateSampleError, DegeneracyError
 # the tolerance table lives in tolerances; every name stays importable
 # from here as well
 from .tolerances import (  # noqa: F401
+    BALANCE_TOL,
     DEFAULT_TOL,
     DRIFT_GUARDS,
     FIT_TOL,
     GAUGE_TOL,
     INTEGER_MARGIN,
     MAX_TOL,
+    MINPOLY_TOL,
     ORBIT_TOL,
     PAIRING_FLOOR,
     POLISH_ACCEPT,
@@ -170,6 +172,21 @@ def char_poly_error(a: np.ndarray, eigenvalues) -> float:
     return float(np.max(np.abs(actual - target))) / scale
 
 
+def minpoly_error(a: np.ndarray, eigenvalues) -> float:
+    """Residual ||prod_k (a - xi_k)|| over the distinct exact eigenvalues
+    xi_k, relative to max(1, ||a||)^(their number): zero exactly when a is
+    semisimple with eigenvalues among them, which the characteristic
+    polynomial cannot tell from a Jordan block."""
+    a = np.asarray(a, dtype=complex)
+    values = np.array([complex(v) for v in dict.fromkeys(eigenvalues)])
+    factors = a - values[:, None, None] * np.eye(a.shape[0])
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = acc @ f
+    scale = max(1.0, float(np.linalg.norm(a))) ** len(values)
+    return float(np.linalg.norm(acc)) / scale
+
+
 def closing_residue(finite, nu) -> np.ndarray:
     """A_m = nu * Id - sum of the finite residues."""
     n = finite[0].shape[0]
@@ -258,6 +275,13 @@ class FuchsianSystem:
             if err > self.tol:
                 raise DegeneracyError(
                     f"residue is {err:.2e} away from its orbit spec (tol {self.tol:.1e})")
+            # n distinct eigenvalues make a matching characteristic
+            # polynomial semisimple; only a repeated one can hide a Jordan block
+            err = minpoly_error(a, s.values) if s.width < s.size else 0.0
+            if err > MINPOLY_TOL:
+                raise DegeneracyError(
+                    f"residue is not semisimple (minimal polynomial residual "
+                    f"{err:.2e}, tol {MINPOLY_TOL:.1e})")
         return worst
 
     def with_residues(self, finite, nu=None, lam=None, offsets=None,
@@ -574,3 +598,91 @@ def conjugated(sys: FuchsianSystem, gmat: np.ndarray) -> FuchsianSystem:
     ginv = np.linalg.inv(gmat)
     finite = [gmat @ a @ ginv for a in sys.finite_residues]
     return sys.with_residues(finite)
+
+
+# ---------------------------------------------------------------------------
+# balancing
+
+
+_BALANCE_STEPS = 50   # Newton steps before giving up on a tuple with no balanced point
+_BALANCE_HALVINGS = 12  # step halvings before a Newton step counts as stalled
+
+
+def _moment_map(mats):
+    """Real moment map sum [A_k, A_k^H] and norm sum ||A_k||^2 of the
+    (k, n, n) stack mats."""
+    adj = mats.conj().transpose(0, 2, 1)
+    return (mats @ adj - adj @ mats).sum(axis=0), float(np.vdot(mats, mats).real)
+
+
+def _newton_direction(mats, moment, norm2):
+    """Newton direction H of S -> sum ||e^S A_k e^-S||^2 at S = 0, on
+    Hermitian S: half the least-squares fit S of sum ||A_k + [S, A_k]||^2
+    (the fit's quadratic term is half the Hessian).  With J_k = I (x) A_k^T
+    - A_k (x) I the matrix of S -> [S, A_k] on vec(S), the fit's normal
+    equations are sum_k (J_k^H J_k + J_k J_k^H) vec(S) / 2 = -vec(moment);
+    that n^2 x n^2 matrix is (I (x) G^T + G (x) I) / 2 - sum_X X (x) conj(X)
+    over X in {A_k, A_k^H}, with G = sum_X X X^H.  The scalars, its kernel,
+    are pinned at trace zero."""
+    k, n, _ = mats.shape
+    eye = np.eye(n)
+    both = np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
+    gram = (both @ both.conj().transpose(0, 2, 1)).sum(axis=0)
+    flat = both.reshape(2 * k, n * n)
+    # axes (i, a, j, b) -> row (i, a), column (j, b)
+    normal = (0.5 * (eye[:, None, :, None] * gram.T[None, :, None, :]
+                     + gram[:, None, :, None] * eye[None, :, None, :])
+              + (norm2 / n) * eye[:, :, None, None] * eye[None, None, :, :]
+              - (flat.T @ flat.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3))
+    s = np.linalg.solve(normal.reshape(n * n, n * n),
+                        -moment.ravel()).reshape(n, n)
+    return (s + s.conj().T) / 4
+
+
+def balance_gauge(mats):
+    """The positive-definite P, and its inverse, that conjugates the
+    residue stack mats (all m of them) towards the minimum of
+    sum ||A_i||^2, where the real moment map sum [A_i, A_i^H] vanishes
+    (Kempf-Ness; King); None when ||sum [A_i, A_i^H]|| <= BALANCE_TOL *
+    sum ||A_i||^2 holds already.
+
+    Damped Newton steps A <- e^H A e^-H (_newton_direction), halved until
+    the norm drops, run until that test holds; their product g is then
+    replaced by the positive-definite factor P of its polar decomposition
+    g = U P, which balances as well."""
+    mats = np.array(mats)
+    moment, norm2 = _moment_map(mats)
+    if np.linalg.norm(moment) <= BALANCE_TOL * norm2:
+        return None
+    gauge = np.eye(mats.shape[1])
+    for _ in range(_BALANCE_STEPS):
+        w, u = np.linalg.eigh(_newton_direction(mats, moment, norm2))
+        rotated = u.conj().T @ mats @ u
+        for halving in range(_BALANCE_HALVINGS):
+            e = np.exp(w / 2 ** halving)
+            cand = e[:, None] * rotated / e
+            cand_norm2 = float(np.vdot(cand, cand).real)
+            if cand_norm2 < norm2:
+                break
+        else:
+            break
+        gauge = (u * e) @ u.conj().T @ gauge
+        mats = u @ cand @ u.conj().T
+        moment, norm2 = _moment_map(mats)
+        if np.linalg.norm(moment) <= BALANCE_TOL * norm2:
+            break
+    _, sv, vh = np.linalg.svd(gauge)
+    return (vh.conj().T * sv) @ vh, (vh.conj().T / sv) @ vh
+
+
+def balance(sys: FuchsianSystem) -> FuchsianSystem:
+    """The system conjugated by balance_gauge, or sys itself when it is
+    balanced already.  Conjugation keeps lam, the specs and every trace
+    word; it only makes the witnesses better conditioned, so nothing is
+    verified here."""
+    pq = balance_gauge(sys.residues)
+    if pq is None:
+        return sys
+    pos, pos_inv = pq
+    finite = [pos @ a @ pos_inv for a in sys.finite_residues]
+    return replace(sys, residues=tuple(finite) + (closing_residue(finite, sys.nu),))

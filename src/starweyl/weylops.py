@@ -40,9 +40,12 @@ from .fuchsian import (
     OrbitSpec,
     _fit_scale,
     _tr_gauss_newton,
+    balance,
+    balance_gauge,
     char_poly_error,
     closing_residue,
     make_system,
+    minpoly_error,
     normalize,
     orbit_from_leg,
     predicted_specs,
@@ -63,6 +66,7 @@ from .tolerances import (
     DEFAULT_TOL,
     DRIFT_GUARDS,
     GAUGE_TOL,
+    MINPOLY_TOL,
     ORBIT_TOL,
     PAIRING_FLOOR,
     POLISH_ACCEPT,
@@ -150,13 +154,18 @@ class IncrementedPair:
         total = sum((s.trace() for s in breves), Fraction(0))
         if total != hat.trace():
             raise ValueError("trace compatibility fails: lam . Delta != 0")
-        worst = max([char_poly_error(self.qp, hat.eigen_list())]
-                    + [char_poly_error(self.p[sl, :] @ self.q[:, sl],
-                                       spec.eigen_list())
-                       for sl, spec in zip(self.block_slices(), breves)])
+        pieces = [(self.qp, hat)] + [(self.p[sl, :] @ self.q[:, sl], spec)
+                                     for sl, spec in zip(self.block_slices(), breves)]
+        worst = max(char_poly_error(a, spec.eigen_list()) for a, spec in pieces)
         if worst > self.tol:
             raise DegeneracyError(
                 f"pair is {worst:.2e} away from its orbit data (tol {self.tol:.1e})")
+        semi = max((minpoly_error(a, spec.values) for a, spec in pieces
+                    if spec.width < spec.size), default=0.0)
+        if semi > MINPOLY_TOL:
+            raise DegeneracyError(
+                f"pair is not semisimple (minimal polynomial residual "
+                f"{semi:.2e}, tol {MINPOLY_TOL:.1e})")
         return worst
 
 
@@ -757,9 +766,15 @@ _JITTER = 1e-3    # restart perturbation of the re-anchoring conjugators
 def _polish_residues(finite, exact_values, nu):
     """Re-anchor a drifted residue tuple on the exact variety: warm-started
     Gauss-Newton over all conjugators with sum A_p = nu * Id, the exact
-    per-pole eigenvalue lists as diagonals and the tuple's own eigenvectors
-    as starting point.  Returns refined finite residues or None."""
+    per-pole eigenvalue lists as diagonals and the eigenvectors of the
+    balanced tuple (balance_gauge) as starting point.  The fit's residual
+    is measured on the scale of the exact eigenvalues, which a tuple that
+    the moves left far from balanced (norm 1e4 and more) cannot reach.
+    Returns refined finite residues or None."""
     n = finite[0].shape[0]
+    pq = balance_gauge(list(finite) + [closing_residue(finite, nu)])
+    if pq is not None:
+        finite = [pq[0] @ a @ pq[1] for a in finite]
     mats = list(finite) + [closing_residue(finite, nu)]
     gs, diags = [], []
     for a, values in zip(mats, exact_values):
@@ -808,6 +823,14 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     """Translate by an integral level-zero weight vector: lam -> lam + mu,
     realised as a composition of elementary Schlesinger moves.
 
+    The moves start from the balanced conjugate of the system (balance:
+    the minimum of sum ||A_i||^2 over simultaneous conjugations), which
+    keeps lam and every trace word but makes the witnesses well
+    conditioned, so an orbit step normally wins on its first move
+    sequence and does not depend on the gauge of its input.  The output
+    residues are therefore a conjugate of those an unbalanced start would
+    give (and, where that start drifted off the orbit, the correct ones).
+
     The moves follow a ladder: drift guards from strict to loose, within
     each guard the ranked move plans, within each plan the pairing orders
     (order_seed 0 pairs moves in lexicographic slot order, reshuffled
@@ -820,14 +843,15 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     running every rung from scratch.  The final tuple is re-anchored on the
     exact orbit data (the matrices are floating-point witnesses of the
     exact bookkeeping), which stops drift from accumulating along iterated
-    orbits.  If every rung fails, the DegeneracyError names the number of
+    orbits, and verified, semisimplicity included (minpoly_error).  If
+    every rung fails, the DegeneracyError names the number of
     distinct move sequences run, the last plan and guard, and the last
     error."""
     g = sys.graph
     mu = mu if isinstance(mu, ParamVector) else ParamVector(tuple(mu))
     if not weight_lattice_member(g, mu):
         raise ValueError("mu must be integral and level zero")
-    sys0 = normalize(sys, "det_zero")
+    sys0 = balance(normalize(sys, "det_zero"))
     lam_new, plans = _plan_moves(sys0, mu)
     runs = [[] for _ in plans]
     failure = None
@@ -857,9 +881,14 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
                     polished = _polish_residues(finite, target_values, sys0.nu)
                     if polished is not None:
                         finite = polished
+                    # verified once, after the det-zero shift (normalize
+                    # verifies what it shifts)
                     out = sys0.with_residues(finite, lam=lam_new,
-                                             offsets=offsets)
-                    return normalize(out, "det_zero")
+                                             offsets=offsets, verify=False)
+                    shifted = normalize(out, "det_zero")
+                    if shifted is out:
+                        out.verify()
+                    return shifted
                 except DegeneracyError as exc:
                     run.failure = failure = exc
     ran = sum(len(plan_runs) for plan_runs in runs)

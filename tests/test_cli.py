@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -414,3 +415,37 @@ def test_orbit_failure_exits_3_naming_the_step(tmp_path, monkeypatch, capsys):
     assert code == 3 and out.out == ""
     assert out.err.startswith("degeneracy: orbit step 1 failed (target lam's "
                               "smallest |root pairing| ")
+
+
+def test_e8_seed0_orbit_reproducer_exits_0(tmp_path, capsys):
+    """Unbalanced, this orbit exited 3 ("gauge residue check failed");
+    exit 0 means every step passed verify(), semisimplicity included."""
+    from starweyl import cli
+    from starweyl.dynkin import ParamVector
+    from starweyl.ratlin import format_rational
+    sysfile, csv = tmp_path / "e8.json", tmp_path / "orbit.csv"
+    assert cli.main(["sample", "--type", "E8", "--seed", "0",
+                     "--out", str(sysfile)]) == 0
+    mu = [-1, 0, 0, 1, 0, 1, 0, 0, 0]
+    assert cli.main(["orbit", "--system", str(sysfile), "--mu", json.dumps(mu),
+                     "--steps", "10", "--out", str(csv)]) == 0
+    capsys.readouterr()
+    lam0 = serialize.system_in(json.loads(sysfile.read_text())).lam
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 11
+    for k, row in enumerate(rows):
+        want = lam0 + ParamVector(tuple(F(k * x) for x in mu))
+        assert row.split(",")[1:10] == [format_rational(v) for v in want.values]
+
+
+def test_orbit_mu_bound_is_checked_before_reading_the_system(tmp_path, capsys):
+    from starweyl import cli
+    from starweyl.tolerances import MU_NORM_MAX
+    missing = str(tmp_path / "missing.json")
+    for mu, message in (([MU_NORM_MAX + 1, 0, 0, 0], "sum |--mu| must be"),
+                        ([-MU_NORM_MAX // 2, 0, 0, MU_NORM_MAX // 2 + 1],
+                         "sum |--mu| must be"),
+                        ([MU_NORM_MAX, 0, 0, 0], "cannot read")):
+        code = cli.main(["orbit", "--system", missing, "--mu", json.dumps(mu)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("input error: ") and message in err

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 from collections import Counter
@@ -321,3 +322,124 @@ def test_char_poly_error_matches_flat_reference(data):
     assert char_poly_error(a, shuffled) == want
     spec = OrbitSpec(n, tuple(Counter(values).items()))
     assert char_poly_error(a, spec.eigen_list()) == want
+
+
+# ---------------------------------------------------------------------------
+# semisimplicity
+
+
+def test_minpoly_error_tells_a_jordan_block_from_a_diagonal():
+    from starweyl.fuchsian import minpoly_error
+    half = F(1, 2)
+    jordan = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, -2.0]])
+    diagonal = np.diag([0.5, 0.5, -2.0])
+    for a in (jordan, diagonal):
+        # the characteristic polynomial cannot tell them apart
+        assert char_poly_error(a, [half, half, F(-2)]) < 1e-15
+    assert minpoly_error(diagonal, [half, half, F(-2)]) == 0.0
+    assert minpoly_error(diagonal, [half, F(-2)]) == 0.0  # repeats collapse
+    assert minpoly_error(jordan, [half, half, F(-2)]) > 0.1
+
+
+def test_verify_rejects_a_jordan_block_with_the_right_char_poly():
+    """D4 with lam_1 = 0: residue 1 must be 0 (the double eigenvalue 0,
+    semisimple), and the nilpotent Jordan block has the same
+    characteristic polynomial.  The other residues are exact: A_2 and A_3
+    triangular with eigenvalues (0, -lam_j), and the closing residue has
+    trace -lam_4 (level zero) and determinant 0 by the choice of t."""
+    from starweyl.dynkin import ParamVector
+    from starweyl.fuchsian import FuchsianSystem, closing_residue
+    g = StarGraph.affine("D4")
+    l2, l3, l4 = F(1, 3), F(1, 5), F(1, 7)
+    nu = -(l2 + l3 + l4) / 2
+    lam = ParamVector((nu, F(0), l2, l3, l4))
+    t = (nu + l2) * (nu + l3)
+    jordan = np.array([[0, 1], [0, 0]], dtype=complex)
+    a2 = np.diag([-to_complex(l2), 0])
+    a3 = np.array([[0, 0], [to_complex(t), -to_complex(l3)]])
+    poles = (0.0, -1.0, 1.0)
+    finite = [jordan, a2, a3]
+    sysj = FuchsianSystem(g, poles, tuple(finite) + (closing_residue(finite, nu),),
+                          lam, (F(0),) * 4, nu)
+    # every residue has the predicted characteristic polynomial ...
+    assert max(char_poly_error(a, s.eigen_list())
+               for a, s in zip(sysj.residues, sysj.specs)) < 1e-15
+    # ... and residue 1 is still not in its orbit
+    with pytest.raises(DegeneracyError, match="not semisimple"):
+        sysj.verify()
+    with pytest.raises(DegeneracyError, match="not semisimple"):
+        make_system(g, poles, finite, lam)
+
+
+# ---------------------------------------------------------------------------
+# balancing
+
+
+def _tuple_norm2(sysm):
+    return sum(float(np.linalg.norm(a)) ** 2 for a in sysm.residues)
+
+
+def _random_gauge(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@functools.cache
+def _sampled(name, seed):
+    return sample_system(name, seed)[0]
+
+
+_SAMPLED = st.tuples(st.sampled_from(("D4", "E6", "E7")), st.integers(0, 3))
+
+
+def test_newton_direction_is_half_the_hermitian_least_squares_fit():
+    """Reference: the fit of sum ||A_k + [S, A_k]||^2 over a real basis
+    of the Hermitian matrices, by lstsq on the stacked commutators."""
+    from starweyl.fuchsian import _moment_map, _newton_direction
+    rng = np.random.default_rng(4)
+    for n, k in ((2, 4), (3, 3), (6, 3)):
+        mats = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        basis = []
+        for i in range(n):
+            for j in range(i, n):
+                e = np.zeros((n, n), dtype=complex)
+                e[i, j] = e[j, i] = 1
+                basis.append(e)
+                if i != j:
+                    e = np.zeros((n, n), dtype=complex)
+                    e[i, j], e[j, i] = 1j, -1j
+                    basis.append(e)
+        cols = np.array([np.concatenate([(s @ a - a @ s).ravel() for a in mats])
+                         for s in basis]).T
+        rhs = -mats.reshape(-1)
+        real = np.vstack([cols.real, cols.imag])
+        coef, *_ = np.linalg.lstsq(real, np.concatenate([rhs.real, rhs.imag]),
+                                   rcond=None)
+        fit = sum(c * s for c, s in zip(coef, basis))
+        fit -= np.trace(fit) / n * np.eye(n)   # the scalars do not move A
+        moment, norm2 = _moment_map(mats)
+        got = _newton_direction(mats, moment, norm2)
+        assert np.allclose(got, fit / 2, atol=1e-10 * max(1.0, np.abs(fit).max()))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_SAMPLED, st.integers(0, 2 ** 16))
+def test_balance_properties(sampled, gauge_seed):
+    from starweyl.fuchsian import BALANCE_TOL, _moment_map, balance
+    sysm = conjugated(_sampled(*sampled), _random_gauge(_sampled(*sampled).n,
+                                                       gauge_seed))
+    bal = balance(sysm)
+    # never raises the norm, and meets its stopping test
+    assert _tuple_norm2(bal) <= _tuple_norm2(sysm)
+    moment, norm2 = _moment_map(np.array(bal.residues))
+    assert np.linalg.norm(moment) <= BALANCE_TOL * norm2
+    # idempotent
+    assert balance(bal) is bal
+    # the exact data and the conjugation invariants stay
+    assert bal.lam is sysm.lam and bal.offsets == sysm.offsets
+    assert bal.specs == sysm.specs
+    assert signature(bal).distance(signature(sysm)) < 1e-9
+    bal.verify()
+    # the balanced norm does not depend on the gauge of the input
+    ref = balance(_sampled(*sampled))
+    assert _tuple_norm2(bal) == pytest.approx(_tuple_norm2(ref), rel=1e-2)
