@@ -32,7 +32,7 @@ from .errors import DegenerateSampleError, DegeneracyError
 from .tolerances import (  # noqa: F401
     BALANCE_TOL,
     DEFAULT_TOL,
-    DRIFT_GUARDS,
+    DRIFT_GUARD,
     FIT_TOL,
     GAUGE_TOL,
     INTEGER_MARGIN,

@@ -18,7 +18,7 @@ GAUGE_TOL = 1e-8        # gauge check at test points (share of the residues' nor
 POLISH_TRIGGER = 1e-9   # drift after a Schlesinger move that forces re-anchoring
 POLISH_GOAL = 2e-13     # re-anchoring Gauss-Newton target residual (fit scale)
 POLISH_ACCEPT = 1e-11   # re-anchoring residual accepted as success (fit scale)
-DRIFT_GUARDS = (1e-10, 1e-8, 5e-7)  # translate's drift guards, strict first
+DRIFT_GUARD = 5e-7      # translate: worst orbit drift of a state after a move
 FIT_TOL = 2e-11         # sampler fit residual (fit scale)
 SPAN_TOL = 1e-9         # a word extends the generated algebra (relative norm)
 ROOT_MARGIN = 0.05      # sampled lam: every root pairing this far from zero

@@ -64,7 +64,7 @@ from .quiver import (
 from .ratlin import smith_diagonal, to_complex as _cx
 from .tolerances import (
     DEFAULT_TOL,
-    DRIFT_GUARDS,
+    DRIFT_GUARD,
     GAUGE_TOL,
     MINPOLY_TOL,
     ORBIT_TOL,
@@ -538,7 +538,6 @@ def _offset_candidates(t_shifts, mults, mu_c: int, keep: int = 3):
 
 
 _PLANS = 3        # ranked move plans translate tries
-_ORDERS = 8       # pairing orders (order seeds) per plan
 _MASKED = np.iinfo(np.int64).max  # key of constants outside a vector's bound
 _KEY_BLOCK = 1 << 14  # keys per _plan_keys block, to keep its temporaries small
 
@@ -651,33 +650,27 @@ def _plan_moves(sys: FuchsianSystem, mu: ParamVector):
     return lam_new, plans
 
 
-def _move_sequence(specs, shifts, order_seed: int):
-    """The elementary moves of one run, from the exact bookkeeping alone.
+def _move_sequence(specs, shifts):
+    """The elementary moves of one plan, from the exact bookkeeping alone.
 
     shifts holds the integer shift of every eigenvalue copy of each pole,
-    in spec.eigen_list() order; every copy is a slot of its own.
-    Returns the moves as (up pole, up slot, down pole, down slot) and the
-    message of the bookkeeping failure that ends the run after them, or
-    None.  order_seed 0 pairs pending moves in lexicographic order; larger
-    seeds shuffle the pairing, used to retry around degeneracies
-    (intermediate states can pass near walls in an order-dependent way)."""
+    in spec.eigen_list() order; every copy is a slot of its own.  Pending
+    moves pair in lexicographic slot order.  Returns the moves as (up
+    pole, up slot, down pole, down slot); raises DegeneracyError when the
+    bookkeeping cannot complete the plan."""
     values = [list(spec.eigen_list()) for spec in specs]
     left = [list(row) for row in shifts]
-    shuffler = np.random.default_rng(order_seed) if order_seed else None
     m = len(values)
     moves = []
     while True:
         ups = [(p, c) for p in range(m) for c, d in enumerate(left[p]) if d > 0]
         downs = [(p, c) for p in range(m) for c, d in enumerate(left[p]) if d < 0]
-        if shuffler is not None:
-            shuffler.shuffle(ups)
-            shuffler.shuffle(downs)
         if not ups and not downs:
-            return tuple(moves), None
+            return tuple(moves)
         if len(moves) == 10000:
-            return tuple(moves), "translation planner did not terminate"
+            raise DegeneracyError("translation planner did not terminate")
         if bool(ups) != bool(downs):
-            return tuple(moves), "unbalanced translation plan"
+            raise DegeneracyError("unbalanced translation plan")
         pair = next(((u, d) for u in ups for d in downs if u[0] != d[0]), None)
         if pair is not None:
             (pu, cu), (pd, cd) = pair
@@ -691,7 +684,7 @@ def _move_sequence(specs, shifts, order_seed: int):
             cd = next((c for c, v in enumerate(values[pd])
                        if v - 1 not in vset), None)
             if cd is None:
-                return tuple(moves), "no collision-free auxiliary slot"
+                raise DegeneracyError("no collision-free auxiliary slot")
         moves.append((pu, cu, pd, cd))
         values[pu][cu] += 1
         values[pd][cd] -= 1
@@ -699,31 +692,13 @@ def _move_sequence(specs, shifts, order_seed: int):
         left[pd][cd] += 1
 
 
-@dataclass(eq=False)
-class _MoveRun:
-    """One move sequence of a translate plan and how far it has got.
-
-    Every number a run computes is independent of the drift guard, which
-    only decides whether to stop; so a run stopped by a strict guard
-    resumes under a looser one from where it stopped."""
-
-    consts: tuple           # the plan's per-pole constants
-    moves: tuple            # (up pole, up slot, down pole, down slot)
-    stop: str | None        # bookkeeping failure after the last move
-    finite: list            # finite residues after `done` moves
-    values: list            # exact per-pole slot values after `done` moves
-    rng: np.random.Generator  # test points of the gauge checks
-    done: int = 0
-    drift: float = 0.0      # worst orbit drift after the last move
-    failure: DegeneracyError | None = None  # a failure no guard lifts
-
-
-def _run_moves(sys0: FuchsianSystem, run: _MoveRun, guard: float):
-    """Execute the remaining moves of a run, returning the new finite
-    residues.  Raises DegeneracyError when the drift after a move exceeds
-    the guard (the run may resume under a looser one) or when the run
-    fails in a way no guard lifts (recorded as run.failure)."""
-    values = run.values
+def _run_moves(sys0: FuchsianSystem, moves):
+    """Execute one plan's moves from sys0, returning the new finite
+    residues.  Raises DegeneracyError when a move fails or when the drift
+    of a state after a move exceeds DRIFT_GUARD."""
+    values = [list(spec.eigen_list()) for spec in sys0.specs]
+    finite = list(sys0.finite_residues)
+    rng = np.random.default_rng(1)  # test points of the gauge checks
 
     def worst_drift(fin):
         mats = list(fin) + [closing_residue(fin, sys0.nu)]
@@ -731,16 +706,9 @@ def _run_moves(sys0: FuchsianSystem, run: _MoveRun, guard: float):
 
     # guard the scaffolding states; the final tuple is additionally held to
     # the full tolerance after re-anchoring
-    if run.drift > guard:
-        raise DegeneracyError(f"intermediate orbit drift {run.drift:.2e}")
-    while run.done < len(run.moves):
-        pu, cu, pd, cd = run.moves[run.done]
-        try:
-            finite = _unit_move(run.finite, sys0.poles, sys0.nu, pu,
-                                values[pu][cu], pd, values[pd][cd], run.rng)
-        except DegeneracyError as exc:
-            run.failure = exc
-            raise
+    for pu, cu, pd, cd in moves:
+        finite = _unit_move(finite, sys0.poles, sys0.nu, pu, values[pu][cu],
+                            pd, values[pd][cd], rng)
         values[pu][cu] += 1
         values[pd][cd] -= 1
         err = worst_drift(finite)
@@ -751,13 +719,9 @@ def _run_moves(sys0: FuchsianSystem, run: _MoveRun, guard: float):
             if polished is not None:
                 finite = polished
                 err = worst_drift(finite)
-        run.finite, run.done, run.drift = finite, run.done + 1, err
-        if err > guard:
+        if err > DRIFT_GUARD:
             raise DegeneracyError(f"intermediate orbit drift {err:.2e}")
-    if run.stop is not None:
-        run.failure = DegeneracyError(run.stop)
-        raise run.failure
-    return run.finite
+    return finite
 
 
 _JITTER = 1e-3    # restart perturbation of the re-anchoring conjugators
@@ -804,21 +768,6 @@ def _polish_residues(finite, exact_values, nu):
     return None
 
 
-def _plan_runs(sys0: FuchsianSystem, shifts, consts):
-    """Yield a fresh run for each order_seed in range(_ORDERS) whose move
-    sequence differs from those of the lower seeds."""
-    specs = sys0.specs
-    seen = set()
-    for order_seed in range(_ORDERS):
-        moves, stop = _move_sequence(specs, shifts, order_seed)
-        if (moves, stop) in seen:
-            continue
-        seen.add((moves, stop))
-        yield _MoveRun(consts, moves, stop, list(sys0.finite_residues),
-                       [list(spec.eigen_list()) for spec in specs],
-                       np.random.default_rng(order_seed + 1))
-
-
 def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     """Translate by an integral level-zero weight vector: lam -> lam + mu,
     realised as a composition of elementary Schlesinger moves.
@@ -826,76 +775,49 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     The moves start from the balanced conjugate of the system (balance:
     the minimum of sum ||A_i||^2 over simultaneous conjugations), which
     keeps lam and every trace word but makes the witnesses well
-    conditioned, so an orbit step normally wins on its first move
-    sequence and does not depend on the gauge of its input.  The output
-    residues are therefore a conjugate of those an unbalanced start would
-    give (and, where that start drifted off the orbit, the correct ones).
+    conditioned, so an orbit step does not depend on the gauge of its
+    input.  The output residues are therefore a conjugate of those an
+    unbalanced start would give (and, where that start drifted off the
+    orbit, the correct ones).
 
-    The moves follow a ladder: drift guards from strict to loose, within
-    each guard the ranked move plans, within each plan the pairing orders
-    (order_seed 0 pairs moves in lexicographic slot order, reshuffled
-    orders follow up to _ORDERS in all), and the first run that gets
-    through wins.  Each move sequence is built from the exact bookkeeping
-    alone, so an order whose sequence repeats a lower one of the same plan
-    is skipped, and a run that a guard stopped resumes where it stopped
-    under the next looser guard instead of starting over; runs that failed
-    in a way no guard lifts are not tried again.  The result is that of
-    running every rung from scratch.  The final tuple is re-anchored on the
-    exact orbit data (the matrices are floating-point witnesses of the
-    exact bookkeeping), which stops drift from accumulating along iterated
-    orbits, and verified, semisimplicity included (minpoly_error).  If
-    every rung fails, the DegeneracyError names the number of
-    distinct move sequences run, the last plan and guard, and the last
-    error."""
+    The ranked move plans (_plan_moves) are tried in turn.  Each plan's
+    move sequence, paired in lexicographic slot order, runs once under
+    the drift guard (DRIFT_GUARD), re-anchoring any intermediate state
+    that drifts past POLISH_TRIGGER, and the first plan that gets through
+    wins.  Its final tuple is re-anchored on the exact orbit data (the
+    matrices are floating-point witnesses of the exact bookkeeping),
+    which stops drift from accumulating along iterated orbits, and
+    verified, semisimplicity included (minpoly_error).  If every plan
+    fails, the DegeneracyError names the number of plans run, the last
+    plan's constants and the last error."""
     g = sys.graph
     mu = mu if isinstance(mu, ParamVector) else ParamVector(tuple(mu))
     if not weight_lattice_member(g, mu):
         raise ValueError("mu must be integral and level zero")
     sys0 = balance(normalize(sys, "det_zero"))
     lam_new, plans = _plan_moves(sys0, mu)
-    runs = [[] for _ in plans]
-    failure = None
-    # prefer strict move sequences; fall back to alternative plans, then to
-    # looser guards (with the re-anchoring absorbing the drift) only when
-    # every clean order fails
-    for guard in DRIFT_GUARDS:
-        for plan_runs, (shifts, consts) in zip(runs, plans):
-            offsets = tuple(Fraction(c) for c in consts)
-            target_values = [s.eigen_list()
-                             for s in predicted_specs(g, lam_new, offsets)]
-            # the runs of a plan are built during the first guard's pass
-            first = guard == DRIFT_GUARDS[0]
-            for run in (_plan_runs(sys0, shifts, consts) if first
-                        else plan_runs):
-                if first:
-                    plan_runs.append(run)
-                if run.failure is not None:
-                    failure = run.failure
-                    continue
-                try:
-                    finite = _run_moves(sys0, run, guard)
-                except DegeneracyError as exc:
-                    failure = exc
-                    continue
-                try:
-                    polished = _polish_residues(finite, target_values, sys0.nu)
-                    if polished is not None:
-                        finite = polished
-                    # verified once, after the det-zero shift (normalize
-                    # verifies what it shifts)
-                    out = sys0.with_residues(finite, lam=lam_new,
-                                             offsets=offsets, verify=False)
-                    shifted = normalize(out, "det_zero")
-                    if shifted is out:
-                        out.verify()
-                    return shifted
-                except DegeneracyError as exc:
-                    run.failure = failure = exc
-    ran = sum(len(plan_runs) for plan_runs in runs)
+    for shifts, consts in plans:
+        offsets = tuple(Fraction(c) for c in consts)
+        target_values = [s.eigen_list()
+                         for s in predicted_specs(g, lam_new, offsets)]
+        try:
+            finite = _run_moves(sys0, _move_sequence(sys0.specs, shifts))
+            polished = _polish_residues(finite, target_values, sys0.nu)
+            if polished is not None:
+                finite = polished
+            # verified once, after the det-zero shift (normalize verifies
+            # what it shifts)
+            out = sys0.with_residues(finite, lam=lam_new, offsets=offsets,
+                                     verify=False)
+            shifted = normalize(out, "det_zero")
+            if shifted is out:
+                out.verify()
+            return shifted
+        except DegeneracyError as exc:
+            failure = exc
     raise DegeneracyError(
-        f"translation failed for every move order ({ran} distinct move "
-        f"sequences; last plan constants {consts} at guard {guard:.0e}; "
-        f"last: {failure})")
+        f"translation failed for every move plan ({len(plans)} plans run; "
+        f"last plan constants {consts}; last: {failure})")
 
 
 def dp_orbit(sys: FuchsianSystem, mu, steps: int, sig_len: int = 3):

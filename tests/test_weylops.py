@@ -320,12 +320,12 @@ def test_operations_preserve_scalar_sum_and_irreducibility(name):
 
 
 # ---------------------------------------------------------------------------
-# the translate ladder against a reference that runs every rung from scratch
+# the translate plans against a reference that runs every plan from scratch
 
 
-def _reference_run(sys0, shifts, order_seed, guard):
-    """One rung of the ladder from scratch: pair the pending moves as the
-    bookkeeping dictates and execute each one as soon as it is chosen."""
+def _reference_run(sys0, shifts):
+    """One plan from scratch: pair the pending moves in lexicographic order
+    and execute each one as soon as it is chosen."""
     from starweyl.ratlin import poly_from_roots, to_complex
     from starweyl.weylops import _polish_residues, _unit_move
     specs = sys0.specs
@@ -334,8 +334,7 @@ def _reference_run(sys0, shifts, order_seed, guard):
         vals = list(specs[p].eigen_list())
         values.append(vals)
         targets.append([v + d for v, d in zip(vals, shifts[p])])
-    rng = np.random.default_rng(order_seed + 1)
-    shuffler = np.random.default_rng(order_seed) if order_seed else None
+    rng = np.random.default_rng(1)
     finite = list(sys0.finite_residues)
     inf = sys0.m - 1
     nu_eye = complex(sys0.nu) * np.eye(sys0.n)
@@ -344,9 +343,6 @@ def _reference_run(sys0, shifts, order_seed, guard):
                for c, (v, t) in enumerate(zip(values[p], targets[p])) if t > v]
         downs = [(p, c) for p in range(sys0.m)
                  for c, (v, t) in enumerate(zip(values[p], targets[p])) if t < v]
-        if shuffler is not None:
-            shuffler.shuffle(ups)
-            shuffler.shuffle(downs)
         if not ups and not downs:
             return finite
         assert ups and downs
@@ -381,40 +377,40 @@ def _reference_run(sys0, shifts, order_seed, guard):
             if polished is not None:
                 finite = polished
                 err = drift(finite)
-        if err > guard:
+        if err > 5e-7:
             raise DegeneracyError(f"intermediate orbit drift {err:.2e}")
 
 
-def _reference_translate(sys, mu, retries=8):
+def _reference_translate(sys, mu):
     from starweyl.fuchsian import FuchsianSystem, balance, predicted_specs
     from starweyl.weylops import _plan_moves, _polish_residues
     sys0 = balance(normalize(sys, "det_zero"))
     lam_new, plans = _plan_moves(sys0, mu)
-    for guard in (1e-10, 1e-8, 5e-7):
-        for shifts, consts in plans:
-            offsets = tuple(F(c) for c in consts)
-            target_values = [s.eigen_list() for s in
-                             predicted_specs(sys0.graph, lam_new, offsets)]
-            for order_seed in range(retries):
-                try:
-                    finite = _reference_run(sys0, shifts, order_seed, guard)
-                    polished = _polish_residues(finite, target_values, sys0.nu)
-                    if polished is not None:
-                        finite = polished
-                    out = FuchsianSystem(
-                        sys0.graph, sys0.poles,
-                        tuple(finite) + (complex(sys0.nu) * np.eye(sys0.n)
-                                         - sum(finite),),
-                        lam_new, offsets, sys0.nu, sys0.tol)
-                    out.verify()
-                    return normalize(out, "det_zero")
-                except DegeneracyError:
-                    pass
-    raise DegeneracyError("reference ladder failed")
+    for shifts, consts in plans:
+        offsets = tuple(F(c) for c in consts)
+        target_values = [s.eigen_list() for s in
+                         predicted_specs(sys0.graph, lam_new, offsets)]
+        try:
+            finite = _reference_run(sys0, shifts)
+            polished = _polish_residues(finite, target_values, sys0.nu)
+            if polished is not None:
+                finite = polished
+            out = FuchsianSystem(
+                sys0.graph, sys0.poles,
+                tuple(finite) + (complex(sys0.nu) * np.eye(sys0.n)
+                                 - sum(finite),),
+                lam_new, offsets, sys0.nu, sys0.tol)
+            out.verify()
+            return normalize(out, "det_zero")
+        except DegeneracyError:
+            pass
+    raise DegeneracyError("reference plans failed")
 
 
+# D4 23/0 runs past step 24, where a guard stricter than DRIFT_GUARD would
+# change the winning plan
 @pytest.mark.parametrize("name, seed, vector, steps",
-                         [("D4", 23, 0, 13), ("E6", 23, 3, 3)])
+                         [("D4", 23, 0, 30), ("E6", 23, 3, 3)])
 def test_translate_matches_from_scratch_ladder(name, seed, vector, steps):
     sysm, _ = sample_system(name, seed)
     mu = light_translation_basis(sysm.graph)[vector]
@@ -428,39 +424,36 @@ def test_translate_matches_from_scratch_ladder(name, seed, vector, steps):
             assert np.array_equal(a, b)
 
 
+def _unit_vector(g, node, sign):
+    coords = [sign if k == node else 0 for k in g.finite_nodes]
+    return ParamVector(tuple(F(c) for c in coords) + (F(-g.delta[node] * sign),))
+
+
 def test_translate_runs_each_sequence_once(monkeypatch):
     from starweyl import weylops
     run_moves = weylops._run_moves
-    starts, last_guard = set(), {}
-    resumed = 0
+    runs = []
 
-    def spy(sys0, run, guard):
-        nonlocal resumed
-        if id(run) in last_guard:
-            # a stopped run only ever resumes, under a looser guard
-            assert guard > last_guard[id(run)]
-            resumed += 1
-        else:
-            key = (run.consts, run.moves, run.stop)
-            assert run.done == 0 and key not in starts, "a move sequence ran twice"
-            starts.add(key)
-        last_guard[id(run)] = guard
-        return run_moves(sys0, run, guard)
+    def spy(sys0, moves):
+        assert moves not in runs, "a plan ran twice"
+        runs.append(moves)
+        assert len(runs) <= weylops._PLANS
+        return run_moves(sys0, moves)
 
     monkeypatch.setattr(weylops, "_run_moves", spy)
-    # unbalanced, D4 23/0 first needs the looser guards at step 7, and
-    # again at 12 and 13; balanced, every step wins on its first sequence
-    monkeypatch.setattr(weylops, "balance", lambda sys: sys)
-    monkeypatch.setattr(weylops, "balance_gauge", lambda mats: None)
-    sysm, _ = sample_system("D4", 23)
+    # E8 seed 3 +e_4 fails its first plan and wins on the second
+    sysm, lam = sample_system("E8", 3)
+    mu = _unit_vector(sysm.graph, 4, 1)
+    assert translate(sysm, mu).lam.values == (lam + mu).values
+    assert len(runs) == 2
+    sysm, lam = sample_system("D4", 23)
     mu = light_translation_basis(sysm.graph)[0]
     cur = replace(sysm, tol=max(sysm.tol, 1e-8))
-    for _ in range(13):
-        starts.clear()
-        last_guard.clear()
+    for _ in range(5):
+        runs.clear()
         cur = translate(cur, mu)
-    assert cur.lam.values == (sysm.lam + mu.scale(13)).values
-    assert resumed > 0  # this orbit needs the looser guards
+        assert len(runs) == 1
+    assert cur.lam.values == (lam + mu.scale(5)).values
 
 
 def test_translate_failure_names_the_ladder(monkeypatch):
@@ -475,9 +468,9 @@ def test_translate_failure_names_the_ladder(monkeypatch):
     with pytest.raises(DegeneracyError) as info:
         translate(sysm, mu)
     msg = str(info.value)
-    assert "distinct move sequences" in msg
-    assert "at guard 5e-07" in msg
-    assert "last plan constants (" in msg
+    assert msg.startswith("translation failed for every move plan "
+                          "(3 plans run; last plan constants (")
+    assert "guard" not in msg
     assert msg.endswith("last: eigenvector pairing is degenerate (w.v = 0))")
 
 
@@ -507,7 +500,7 @@ def test_dp_orbit_failure_names_step_and_pairing(monkeypatch):
     msg = str(info.value)
     assert msg.startswith(f"orbit step 3 failed (target lam's smallest "
                           f"|root pairing| {near:.3g}): translation failed "
-                          f"for every move order (")
+                          f"for every move plan (3 plans run; ")
     assert msg.endswith("last: eigenvector pairing is degenerate (w.v = 0))")
 
 
@@ -559,6 +552,18 @@ def test_orbits_that_failed_unbalanced_stay_semisimple(name, seed, vector, steps
         assert cur.lam.values == (lam + mu.scale(k)).values
         assert max(minpoly_error(a, s.values)
                    for a, s in zip(cur.residues, cur.specs)) <= MINPOLY_TOL
+
+
+# heavy unit translates: some (E8 seed 3 +e_4 among them) fail on their
+# first plan and need a later ranked one
+def test_e8_unit_translates_finish_semisimple():
+    for seed in range(6):
+        sysm, lam = sample_system("E8", seed)
+        for node, sign in itertools.product(sysm.graph.finite_nodes, (1, -1)):
+            mu = _unit_vector(sysm.graph, node, sign)
+            out = translate(sysm, mu)
+            assert out.lam.values == (lam + mu).values, (seed, node, sign)
+            out.verify()  # raises on a non-semisimple residue
 
 
 # ---------------------------------------------------------------------------
