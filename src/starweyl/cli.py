@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .dynkin import (
@@ -66,17 +65,30 @@ def _in_range(value: int, flag: str, lo: int, hi: float = float("inf")):
         raise InputFormatError(f"{flag} must be from {lo} to {hi}, got {value}")
 
 
-def _parse_mu(doc: list, graph: StarGraph) -> ParamVector:
+def _check_mu_norm(values, name: str):
+    # every partial sum of a full vector is at most sum |mu_i|, and so is
+    # the bound B of the (2B + 1)^(m - 1) move plans translate ranks; a
+    # completed extending entry is at most max(delta) times the sum
+    _in_range(sum(abs(getattr(x, "re", x)) for x in values), f"sum |{name}|",
+              0, MU_NORM_MAX)
+
+
+def _parse_mu(doc: list, graph: StarGraph, name: str = "--mu") -> ParamVector:
+    """A translation vector: orbit's --mu, or the entries of a translate
+    tag of apply.  sum |mu_i| is at most MU_NORM_MAX; the vector has an
+    entry per node, or one fewer and then gets its extending entry
+    completed, and is integral and level zero."""
+    _check_mu_norm(doc, name)
     if len(doc) == graph.node_count - 1:
         # finite coordinates; complete the extending component
         ext = -sum(graph.delta[i] * c for i, c in zip(graph.finite_nodes, doc))
         doc = list(doc) + [ext]
     if len(doc) != graph.node_count:
         raise InputFormatError(
-            f"--mu needs {graph.node_count} (or {graph.node_count - 1}) entries")
-    mu = ParamVector(tuple(Fraction(x) for x in doc))
+            f"{name} needs {graph.node_count} (or {graph.node_count - 1}) entries")
+    mu = ParamVector(tuple(doc))
     if not weight_lattice_member(graph, mu):
-        raise InputFormatError("--mu must be integral and level zero")
+        raise InputFormatError(f"{name} must be integral and level zero")
     return mu
 
 
@@ -129,8 +141,11 @@ def cmd_apply(args) -> int:
     from .weylops import WeylWord, apply_word
     sysm = serialize.system_in(_read_json(args.system))
     tags = serialize.word_in(_read_json(args.word))
+    word = WeylWord(tuple(
+        ("translate", _parse_mu(tag[1], sysm.graph, "translate tag"))
+        if tag[0] == "translate" else tag for tag in tags))
     try:
-        out = apply_word(sysm, WeylWord(tags))
+        out = apply_word(sysm, word)
     except ValueError as exc:
         # a generator the system cannot take (node, permutation, shift count)
         raise InputFormatError(f"invalid word: {exc}")
@@ -149,10 +164,7 @@ def cmd_orbit(args) -> int:
     _in_range(args.steps, "--steps", 0, STEPS_MAX)
     _in_range(args.sig_len, "--sig-len", 1, SIG_LEN_MAX)
     doc = _int_list(args.mu)
-    # every partial sum of a full vector is at most sum |mu_i|, and so is
-    # the bound B of the (2B + 1)^(m - 1) move plans translate ranks; a
-    # completed extending entry is at most max(delta) times the sum
-    _in_range(sum(abs(x) for x in doc), "sum |--mu|", 0, MU_NORM_MAX)
+    _check_mu_norm(doc, "--mu")  # before the system is read
     sysm = serialize.system_in(_read_json(args.system))
     mu = _parse_mu(doc, sysm.graph)
     rows = dp_orbit(sysm, mu, args.steps, sig_len=args.sig_len)

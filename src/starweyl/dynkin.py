@@ -473,8 +473,11 @@ def hyperplane_count(type_or_graph) -> int:
 
 
 def weight_lattice_member(g: StarGraph, mu) -> bool:
-    """mu in P(R) = { lam | lam_i in Z, lam . delta = 0 }."""
+    """mu in P(R) = { lam | lam_i in Z, lam . delta = 0 }; a vector of the
+    wrong length is not."""
     vals = mu.values if isinstance(mu, ParamVector) else tuple(mu)
+    if len(vals) != g.node_count:
+        return False
     ints = []
     for v in vals:
         if isinstance(v, int):

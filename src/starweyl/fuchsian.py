@@ -1,15 +1,16 @@
 """Fuchsian systems as residue tuples with prescribed adjoint orbits.
 
-A system with poles a_1, ..., a_{m-1}, infinity is stored as the m-tuple
-of residues (A_1, ..., A_m) with sum A_i = nu * Id; the actual residue at
-infinity is A_m - nu.  The exact bookkeeping is a level-zero parameter
-vector lam on the star graph whose legs encode the eigenvalue flags: the
-leg attached to pole i carries the consecutive eigenvalue differences of
-A_i, and in the determinant-zero normalisation the ordered eigenvalues
-are 0 followed by the negated partial sums of the leg parameters, with
-nu equal to the central component of lam.  Matrices are complex floating
-point witnesses of this exact data; every constructor and operation
-verifies them against it.
+A system with poles a_1, ..., a_{m-1}, infinity is stored as its finite
+residues A_1, ..., A_{m-1}; the closing residue A_m = nu * Id - sum A_i
+is derived, and the actual residue at infinity is A_m - nu.  The exact
+bookkeeping is a level-zero parameter vector lam on the star graph whose
+legs encode the eigenvalue flags: the leg attached to pole i carries the
+consecutive eigenvalue differences of A_i, and in the determinant-zero
+normalisation the ordered eigenvalues are 0 followed by the negated
+partial sums of the leg parameters.  nu, derived too, is the central
+component of lam plus the per-pole first eigenvalues.  Matrices are
+complex floating point witnesses of this exact data; every constructor
+and operation verifies them against it.
 """
 
 from __future__ import annotations
@@ -193,45 +194,74 @@ def closing_residue(finite, nu) -> np.ndarray:
     return ratlin.to_complex(nu) * np.eye(n) - sum(finite)
 
 
+def _check_orbits(pieces, tol: float, subject: str) -> float:
+    """The orbit test of a witness: each (matrix, spec) piece in turn must
+    have a characteristic polynomial within tol of the spec's
+    (char_poly_error) and, where the spec repeats a value, a minimal
+    polynomial residual within MINPOLY_TOL (minpoly_error).  Raises
+    DegeneracyError, naming the subject, at the first piece that fails;
+    returns the worst characteristic-polynomial distance."""
+    worst = 0.0
+    for a, spec in pieces:
+        err = char_poly_error(a, spec.eigen_list())
+        worst = max(worst, err)
+        if err > tol:
+            raise DegeneracyError(
+                f"{subject} is {err:.2e} away from its orbit spec (tol {tol:.1e})")
+        # n distinct eigenvalues make a matching characteristic
+        # polynomial semisimple; only a repeated one can hide a Jordan block
+        err = minpoly_error(a, spec.values) if spec.width < spec.size else 0.0
+        if err > MINPOLY_TOL:
+            raise DegeneracyError(
+                f"{subject} is not semisimple (minimal polynomial residual "
+                f"{err:.2e}, tol {MINPOLY_TOL:.1e})")
+    return worst
+
+
 @dataclass(frozen=True)
 class FuchsianSystem:
-    """Residue tuple (A_1, ..., A_m) with sum A_i = nu * Id.
-
-    residues holds all m matrices; poles holds the m-1 finite pole
-    positions (the last pole is infinity, whose actual residue is
-    A_m - nu).  lam is the exact level-zero parameter vector, specs the
-    exact per-pole ordered eigenvalue data, offsets the per-pole first
-    eigenvalues (all zero in the determinant-zero normalisation).
+    """Residue tuple (A_1, ..., A_m) with sum A_i = nu * Id, stored as its
+    independent data: the m-1 finite residues, their poles (the last pole
+    is infinity), the exact level-zero lam and the offsets, the per-pole
+    first eigenvalues (all zero in the determinant-zero normalisation).
+    nu, the m residues (A_m closing the sum) and the exact per-pole
+    ordered eigenvalue data specs are derived from them.
     """
 
     graph: StarGraph
     poles: tuple
-    residues: tuple
+    finite_residues: tuple
     lam: ParamVector
     offsets: tuple
-    nu: object
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        res = tuple(np.asarray(a, dtype=complex) for a in self.residues)
-        for a in res:
+        finite = tuple(np.asarray(a, dtype=complex) for a in self.finite_residues)
+        for a in finite:
             a.setflags(write=False)
-        object.__setattr__(self, "residues", res)
+        object.__setattr__(self, "finite_residues", finite)
         object.__setattr__(self, "poles", tuple(complex(p) for p in self.poles))
+        object.__setattr__(self, "offsets", tuple(self.offsets))
 
     # -- structure ----------------------------------------------------------
 
     @property
     def m(self) -> int:
-        return len(self.residues)
+        return len(self.finite_residues) + 1
 
     @property
     def n(self) -> int:
-        return self.residues[0].shape[0]
+        return self.finite_residues[0].shape[0]
 
-    @property
-    def finite_residues(self) -> tuple:
-        return self.residues[:-1]
+    @functools.cached_property
+    def nu(self):
+        return self.lam[self.graph.center] + sum(self.offsets, Fraction(0))
+
+    @functools.cached_property
+    def residues(self) -> tuple:
+        closing = closing_residue(self.finite_residues, self.nu)
+        closing.setflags(write=False)
+        return self.finite_residues + (closing,)
 
     @functools.cached_property
     def specs(self) -> tuple[OrbitSpec, ...]:
@@ -253,6 +283,9 @@ class FuchsianSystem:
         g = self.graph
         if len(self.poles) != g.num_legs - 1:
             raise ValueError("pole count must match the number of legs minus one")
+        if len(self.finite_residues) != g.num_legs - 1:
+            raise ValueError("finite residue count must match the number of "
+                             "legs minus one")
         if len(set(self.poles)) != len(self.poles):
             raise ValueError("finite poles must be distinct")
         if len(self.lam) != g.node_count or len(self.offsets) != g.num_legs:
@@ -260,38 +293,13 @@ class FuchsianSystem:
                              f"{g.num_legs}")
         if not self.lam.is_level_zero(g.delta):
             raise ValueError("lam must be level zero")
-        specs = self.specs
-        nu_expected = self.lam[g.center] + sum(self.offsets, Fraction(0))
-        if self.nu != nu_expected:
-            raise ValueError("nu inconsistent with lam and offsets")
-        scale = sum(float(np.linalg.norm(a)) for a in self.residues)
-        total = sum(self.residues) - ratlin.to_complex(self.nu) * np.eye(self.n)
-        if float(np.linalg.norm(total)) > SUM_TOL * max(1.0, scale):
-            raise ValueError("residues do not sum to nu * Id")
-        worst = 0.0
-        for a, s in zip(self.residues, specs):
-            err = char_poly_error(a, s.eigen_list())
-            worst = max(worst, err)
-            if err > self.tol:
-                raise DegeneracyError(
-                    f"residue is {err:.2e} away from its orbit spec (tol {self.tol:.1e})")
-            # n distinct eigenvalues make a matching characteristic
-            # polynomial semisimple; only a repeated one can hide a Jordan block
-            err = minpoly_error(a, s.values) if s.width < s.size else 0.0
-            if err > MINPOLY_TOL:
-                raise DegeneracyError(
-                    f"residue is not semisimple (minimal polynomial residual "
-                    f"{err:.2e}, tol {MINPOLY_TOL:.1e})")
-        return worst
+        return _check_orbits(zip(self.residues, self.specs), self.tol, "residue")
 
-    def with_residues(self, finite, nu=None, lam=None, offsets=None,
-                      verify: bool = True) -> "FuchsianSystem":
-        nu = self.nu if nu is None else nu
-        lam = self.lam if lam is None else lam
-        offsets = self.offsets if offsets is None else tuple(offsets)
-        sys2 = FuchsianSystem(self.graph, self.poles,
-                              tuple(finite) + (closing_residue(finite, nu),),
-                              lam, offsets, nu, self.tol)
+    def with_residues(self, finite, verify: bool = True,
+                      **changes) -> "FuchsianSystem":
+        """replace(self, finite_residues=finite, **changes), verified unless
+        verify is False."""
+        sys2 = replace(self, finite_residues=tuple(finite), **changes)
         if verify:
             sys2.verify()
         return sys2
@@ -299,15 +307,11 @@ class FuchsianSystem:
 
 def make_system(graph: StarGraph, poles, finite_residues, lam: ParamVector,
                 offsets=None, tol: float = DEFAULT_TOL) -> FuchsianSystem:
-    """Assemble a FuchsianSystem from its finite residues; A_m is filled in
-    from the scalar constraint."""
-    offsets = tuple(offsets) if offsets is not None \
-        else (Fraction(0),) * graph.num_legs
-    nu = lam[graph.center] + sum(offsets, Fraction(0))
-    finite = [np.asarray(a, dtype=complex) for a in finite_residues]
-    sys = FuchsianSystem(graph, tuple(poles),
-                         tuple(finite) + (closing_residue(finite, nu),),
-                         lam, offsets, nu, tol)
+    """The verified FuchsianSystem of the given finite residues and exact
+    data (offsets default to zero, the determinant-zero normalisation)."""
+    if offsets is None:
+        offsets = (Fraction(0),) * graph.num_legs
+    sys = FuchsianSystem(graph, poles, finite_residues, lam, offsets, tol)
     sys.verify()
     return sys
 
@@ -524,8 +528,7 @@ def normalize(sys: FuchsianSystem, mode: str) -> FuchsianSystem:
     finite = [a - ratlin.to_complex(c) * np.eye(sys.n)
               for a, c in zip(sys.finite_residues, shifts[:-1])]
     offsets = tuple(o - c for o, c in zip(sys.offsets, shifts))
-    return sys.with_residues(finite, nu=sys.nu - sum(shifts, Fraction(0)),
-                             offsets=offsets)
+    return sys.with_residues(finite, offsets=offsets)
 
 
 def algebra_dimension(mats) -> int:
@@ -684,5 +687,5 @@ def balance(sys: FuchsianSystem) -> FuchsianSystem:
     if pq is None:
         return sys
     pos, pos_inv = pq
-    finite = [pos @ a @ pos_inv for a in sys.finite_residues]
-    return replace(sys, residues=tuple(finite) + (closing_residue(finite, sys.nu),))
+    return sys.with_residues([pos @ a @ pos_inv for a in sys.finite_residues],
+                             verify=False)

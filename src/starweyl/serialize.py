@@ -23,7 +23,7 @@ from .dynkin import AFFINE_LEGS, ParamVector, StarGraph
 from .errors import InputFormatError
 from .ratlin import GaussianRational, format_rational, parse_rational
 from .sakai import PointConfig
-from .tolerances import DEFAULT_TOL, MAX_TOL
+from .tolerances import DEFAULT_TOL, MAX_TOL, SUM_TOL
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,7 +103,11 @@ def system_out(sys: FuchsianSystem) -> dict:
 
 def system_in(doc) -> FuchsianSystem:
     """The verified system of a document: a malformed one raises
-    InputFormatError, residues off their orbits DegeneracyError."""
+    InputFormatError, residues off their orbits DegeneracyError.  The
+    system is built from legs, poles, lam, offsets, tol and the finite
+    residues; the last residue, nu, type and normalization, where given,
+    must match what those derive (the last residue to SUM_TOL of the
+    residues' total norm), else InputFormatError."""
     import numpy as np
 
     from .fuchsian import make_system
@@ -133,10 +137,24 @@ def system_in(doc) -> FuchsianSystem:
                                            for e in diffs]).all():
             raise InputFormatError("pole differences, their reciprocals and "
                                    "their ratios must be finite")
-        return make_system(graph, poles, residues[:-1], lam, offsets=offsets,
+        sysm = make_system(graph, poles, residues[:-1], lam, offsets=offsets,
                            tol=tol)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InputFormatError(f"malformed system document: {exc}")
+    # what system_out writes beyond the independent data must agree with
+    # what the system derives from that data
+    scale = max(1.0, sum(float(np.linalg.norm(a)) for a in residues))
+    if float(np.linalg.norm(residues[-1] - sysm.residues[-1])) > SUM_TOL * scale:
+        raise InputFormatError("residues do not sum to nu * Id")
+    if "nu" in doc and _scalar_in(doc["nu"]) != sysm.nu:
+        raise InputFormatError(f"nu {doc['nu']!r} does not match lam and "
+                               f"offsets, which give {format_rational(sysm.nu)}")
+    for key, derived in (("type", graph.affine_type),
+                         ("normalization", sysm.normalization)):
+        if key in doc and doc[key] != derived:
+            raise InputFormatError(f"{key} {doc[key]!r} does not match the "
+                                   f"document's data, which gives {derived!r}")
+    return sysm
 
 
 def config_out(p: PointConfig) -> dict:
@@ -183,6 +201,11 @@ def word_out(tags) -> dict:
     return {"schema": WORD_SCHEMA, "tags": out}
 
 
+# elements of each word tag, its name included
+_TAG_LENGTHS = {"leg": 2, "central": 1, "tensor": 2, "relabel": 2,
+                "translate": 2}
+
+
 def word_in(doc):
     if not isinstance(doc, dict) or doc.get("schema") != WORD_SCHEMA:
         raise InputFormatError(f"expected a {WORD_SCHEMA} document")
@@ -192,15 +215,25 @@ def word_in(doc):
     for tag in doc.get("tags", []):
         try:
             kind = tag[0]
+            if not isinstance(kind, str) or kind not in _TAG_LENGTHS:
+                raise InputFormatError(f"unknown word tag {kind!r}")
+            if len(tag) != _TAG_LENGTHS[kind]:
+                raise ValueError(f"the tag length must be {_TAG_LENGTHS[kind]}")
             if kind == "leg":
-                tags.append(("leg", int(tag[1])))
+                if type(tag[1]) is not int:
+                    raise ValueError("the node must be a JSON integer")
+                tags.append(("leg", tag[1]))
             elif kind == "central":
                 tags.append(("central",))
-            elif kind in ("tensor", "relabel", "translate"):
+            elif not isinstance(tag[1], list):
+                raise ValueError("the entries must be a list")
+            elif kind == "relabel":
+                if any(type(x) is not int for x in tag[1]):
+                    raise ValueError("a leg permutation takes JSON integers")
+                tags.append(("relabel", tuple(tag[1])))
+            else:
                 tags.append((kind, tuple(x if type(x) is int else _scalar_in(x)
                                          for x in tag[1])))
-            else:
-                raise InputFormatError(f"unknown word tag {kind!r}")
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"malformed word tag {tag!r}: {exc}")
     return tuple(tags)

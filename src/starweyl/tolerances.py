@@ -10,7 +10,7 @@ DEFAULT_TOL = 1e-9      # verify(): worst char-poly distance a witness may show
 MINPOLY_TOL = 1e-9      # verify(): minimal-polynomial residual (semisimplicity)
 ORBIT_TOL = 1e-8        # floor for orbits, whose witnesses lose digits near walls
 BALANCE_TOL = 3e-2      # balance(): |sum [A, A^H]| below this share of sum |A|^2
-SUM_TOL = 1e-10         # residues sum to nu * Id (share of their total norm)
+SUM_TOL = 1e-10         # a document's residues sum to nu * Id (share of their total norm)
 ZERO_CUTOFF = 1e-6      # eigen/singular values below this share of the largest are 0
 MAX_TOL = ZERO_CUTOFF   # largest tol a document may set: it is also lift's rank cutoff
 PAIRING_FLOOR = 1e-8    # smallest overlap |w.v| of a Schlesinger projector

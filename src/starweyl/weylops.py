@@ -38,6 +38,7 @@ from .errors import DegeneracyError
 from .fuchsian import (
     FuchsianSystem,
     OrbitSpec,
+    _check_orbits,
     _fit_scale,
     _tr_gauss_newton,
     balance,
@@ -45,7 +46,6 @@ from .fuchsian import (
     char_poly_error,
     closing_residue,
     make_system,
-    minpoly_error,
     normalize,
     orbit_from_leg,
     predicted_specs,
@@ -66,7 +66,6 @@ from .tolerances import (
     DEFAULT_TOL,
     DRIFT_GUARD,
     GAUGE_TOL,
-    MINPOLY_TOL,
     ORBIT_TOL,
     PAIRING_FLOOR,
     POLISH_ACCEPT,
@@ -156,17 +155,7 @@ class IncrementedPair:
             raise ValueError("trace compatibility fails: lam . Delta != 0")
         pieces = [(self.qp, hat)] + [(self.p[sl, :] @ self.q[:, sl], spec)
                                      for sl, spec in zip(self.block_slices(), breves)]
-        worst = max(char_poly_error(a, spec.eigen_list()) for a, spec in pieces)
-        if worst > self.tol:
-            raise DegeneracyError(
-                f"pair is {worst:.2e} away from its orbit data (tol {self.tol:.1e})")
-        semi = max((minpoly_error(a, spec.values) for a, spec in pieces
-                    if spec.width < spec.size), default=0.0)
-        if semi > MINPOLY_TOL:
-            raise DegeneracyError(
-                f"pair is not semisimple (minimal polynomial residual "
-                f"{semi:.2e}, tol {MINPOLY_TOL:.1e})")
-        return worst
+        return _check_orbits(pieces, self.tol, "pair")
 
 
 def lift(sys: FuchsianSystem) -> IncrementedPair:

@@ -247,6 +247,16 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("word", _word(["leg", 99])),
     ("word", {"schema": serialize.WORD_SCHEMA, "tags": 5}),
     ("word", _word(["tensor", [0.5, 0, 0]])),
+    ("word", _word(["leg", 1.5])),
+    ("word", _word(["leg", True])),
+    ("word", _word(["leg", "3"])),
+    ("word", _word(["leg", 1, 2])),
+    ("word", _word(["central", 5])),
+    ("word", _word(["relabel", ["1", "0", "2", "3"]])),
+    ("word", _word(["tensor", "100"])),
+    ("word", _word(["translate", [0, 0]])),
+    ("word", _word(["translate", [1, 0, 0, 0, -2, 0, 0]])),
+    ("word", _word(["translate", [11, 0, 0, 0, -22]])),
     ("config", {"schema": serialize.CONFIG_SCHEMA, "points": ["1/2", "1/3"]}),
     ("lam", {"schema": serialize.LAM_SCHEMA,
              "values": ["1/0", "0", "0", "0", "0"]}),
@@ -291,7 +301,10 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("config-args", ["--mu", "[true,false,0,0,0,0]"]),
     ("orbit-args", ["--mu", "[true,false,false,false]"]),
 ], ids=["leg-without-node", "leg-center", "leg-out-of-range", "tags-not-a-list",
-        "float-tensor-shift",
+        "float-tensor-shift", "float-leg", "boolean-leg", "string-leg",
+        "leg-extra-element", "central-extra-element", "string-relabel",
+        "string-tensor", "short-translate", "long-translate",
+        "translate-sum-33",
         "two-point-config", "lam-zero-denominator", "lam-off-level-zero",
         "lam-pairs", "offset-pairs", "lam-wrong-length", "offsets-too-short",
         "legs-1-1", "legs-2-2-2", "legs-1-1-1-120", "one-pole",
@@ -338,6 +351,52 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("input error: ")
     assert len(out.stderr.splitlines()) == 1 and out.stdout == ""
+
+
+def _last_residue_plus_5(doc):
+    doc["residues"][-1] = [[[re + 5, im] for re, im in row]
+                           for row in doc["residues"][-1]]
+
+
+@pytest.mark.parametrize("mutate", [
+    _last_residue_plus_5,
+    lambda doc: doc.update(nu="7/3"),
+    lambda doc: doc.update(type="E6"),
+    lambda doc: doc.update(normalization="trace_zero"),
+], ids=["last-residue", "nu", "type", "normalization"])
+def test_system_fields_must_match_what_they_derive_from(tmp_path, capsys,
+                                                        mutate):
+    """system_out writes the last residue, nu, type and normalization
+    beside the data they derive from; a document whose copy disagrees is
+    an input error, not silently rebuilt."""
+    from starweyl import cli
+    doc = copy.deepcopy(_d4_document())
+    mutate(doc)
+    sysfile, word = tmp_path / "sys.json", tmp_path / "word.json"
+    sysfile.write_text(json.dumps(doc))
+    word.write_text(json.dumps(_word(["central"])))
+    code = cli.main(["apply", "--system", str(sysfile), "--word", str(word)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("input error: ") and len(out.err.splitlines()) == 1
+
+
+def test_translate_tag_accepts_what_mu_accepts(tmp_path, capsys):
+    """A translate tag may give the finite coordinates only, as --mu may;
+    the extending entry is completed and the word is echoed as written."""
+    from starweyl import cli
+    sysfile = tmp_path / "sys.json"
+    sysfile.write_text(json.dumps(_d4_document()))
+    outs = []
+    for mu in ([-1, 0, 0, 1], [-1, 0, 0, 1, 1]):
+        word = tmp_path / "word.json"
+        word.write_text(json.dumps(_word(["translate", mu])))
+        assert cli.main(["apply", "--system", str(sysfile),
+                         "--word", str(word)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("applied_word") == [["translate", mu]]
+        outs.append(doc)
+    assert outs[0] == outs[1]
 
 
 _JSON = st.recursive(

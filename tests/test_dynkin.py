@@ -336,6 +336,9 @@ def test_weight_lattice_membership_and_affine_action():
     # alpha_1 (a Cartan row) is in the root lattice, hence in P(R)
     assert weight_lattice_member(g, tuple(g.cartan.row(1)))
     assert not weight_lattice_member(g, (F(1, 2),) + (F(0),) * (g.node_count - 1))
+    # a vector of the wrong length is not truncated or padded into P(R)
+    assert not weight_lattice_member(g, (0, 0))
+    assert not weight_lattice_member(g, (0,) * (g.node_count + 1))
     ident = AffineWeylElement.identity(g)
     assert apply_affine(g, ident, lam).values == lam.values
     for mu in weight_lattice_basis(g):

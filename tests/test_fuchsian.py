@@ -113,6 +113,27 @@ def test_specs_are_computed_once_per_system():
                                           moved.offsets)
 
 
+def test_nu_and_the_closing_residue_are_derived():
+    """Only the finite residues and the exact data are stored: a replace
+    that moves lam or the offsets moves nu and A_m with them."""
+    from dataclasses import fields, replace
+
+    from starweyl.fuchsian import FuchsianSystem, closing_residue
+    assert [f.name for f in fields(FuchsianSystem)] == [
+        "graph", "poles", "finite_residues", "lam", "offsets", "tol"]
+    sysm, lam = sample_system("D4", seed=2)
+    c = sysm.graph.center
+    assert sysm.nu == lam[c] and sysm.m == 4
+    assert sysm.residues[:-1] == sysm.finite_residues
+    moved = replace(sysm, offsets=(F(1), F(0), F(2), F(-1, 3)))
+    assert moved.nu == lam[c] + F(8, 3)
+    assert np.array_equal(moved.residues[-1],
+                          closing_residue(sysm.finite_residues, moved.nu))
+    assert not moved.residues[-1].flags.writeable
+    with pytest.raises(ValueError, match="finite residue count"):
+        replace(sysm, finite_residues=sysm.finite_residues[:-1]).verify()
+
+
 def test_normalize_modes_and_round_trip():
     sysm, _ = sample_system("E6", seed=2)
     assert normalize(sysm, "det_zero") is sysm  # already there
@@ -348,7 +369,7 @@ def test_verify_rejects_a_jordan_block_with_the_right_char_poly():
     triangular with eigenvalues (0, -lam_j), and the closing residue has
     trace -lam_4 (level zero) and determinant 0 by the choice of t."""
     from starweyl.dynkin import ParamVector
-    from starweyl.fuchsian import FuchsianSystem, closing_residue
+    from starweyl.fuchsian import FuchsianSystem
     g = StarGraph.affine("D4")
     l2, l3, l4 = F(1, 3), F(1, 5), F(1, 7)
     nu = -(l2 + l3 + l4) / 2
@@ -359,8 +380,8 @@ def test_verify_rejects_a_jordan_block_with_the_right_char_poly():
     a3 = np.array([[0, 0], [to_complex(t), -to_complex(l3)]])
     poles = (0.0, -1.0, 1.0)
     finite = [jordan, a2, a3]
-    sysj = FuchsianSystem(g, poles, tuple(finite) + (closing_residue(finite, nu),),
-                          lam, (F(0),) * 4, nu)
+    sysj = FuchsianSystem(g, poles, finite, lam, (F(0),) * 4)
+    assert sysj.nu == nu
     # every residue has the predicted characteristic polynomial ...
     assert max(char_poly_error(a, s.eigen_list())
                for a, s in zip(sysj.residues, sysj.specs)) < 1e-15

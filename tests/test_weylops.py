@@ -149,8 +149,8 @@ def test_central_reflection_rejects_nu_zero():
     vals[1] = vals[1] + 2 * lam[0]
     lam0 = ParamVector(tuple(vals))
     assert lam0.is_level_zero(sysm.graph.delta)
-    broken = sysm.with_residues(sysm.finite_residues, nu=F(0), lam=lam0,
-                                verify=False)
+    broken = sysm.with_residues(sysm.finite_residues, lam=lam0, verify=False)
+    assert broken.nu == 0
     with pytest.raises(DegeneracyError):
         central_reflection(broken)
 
@@ -395,11 +395,8 @@ def _reference_translate(sys, mu):
             polished = _polish_residues(finite, target_values, sys0.nu)
             if polished is not None:
                 finite = polished
-            out = FuchsianSystem(
-                sys0.graph, sys0.poles,
-                tuple(finite) + (complex(sys0.nu) * np.eye(sys0.n)
-                                 - sum(finite),),
-                lam_new, offsets, sys0.nu, sys0.tol)
+            out = FuchsianSystem(sys0.graph, sys0.poles, finite, lam_new,
+                                 offsets, sys0.tol)
             out.verify()
             return normalize(out, "det_zero")
         except DegeneracyError:
