@@ -247,9 +247,10 @@ class RootVector:
 class ParamVector:
     """Parameter vector lam over a node index set, exact by construction.
 
-    An int entry becomes a Fraction, Fraction and GaussianRational entries
-    are kept, anything else raises TypeError.  The field tag is "Q" when
-    every entry is rational, else "Qi".
+    An int entry becomes a Fraction, and so does a GaussianRational with
+    zero imaginary part; Fraction and other GaussianRational entries are
+    kept, anything else raises TypeError.  The field tag is "Q" when every
+    entry is rational, else "Qi", whatever the spelling of the values.
     """
 
     values: tuple
@@ -257,10 +258,13 @@ class ParamVector:
     def __post_init__(self):
         vals = []
         for v in self.values:
-            if not isinstance(v, (Fraction, GaussianRational)):
-                if not isinstance(v, int):
+            if not isinstance(v, Fraction):
+                if isinstance(v, GaussianRational):
+                    v = v.re if v.im == 0 else v
+                elif isinstance(v, int):
+                    v = Fraction(v)
+                else:
                     raise TypeError(f"parameter entries must be exact, got {v!r}")
-                v = Fraction(v)
             vals.append(v)
         object.__setattr__(self, "values", tuple(vals))
 

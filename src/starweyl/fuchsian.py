@@ -42,7 +42,6 @@ from .tolerances import (  # noqa: F401
     ORBIT_TOL,
     PAIRING_FLOOR,
     POLISH_ACCEPT,
-    POLISH_GOAL,
     POLISH_TRIGGER,
     ROOT_MARGIN,
     SIG_LEN_MAX,
@@ -621,24 +620,21 @@ def _moment_map(mats):
 def _newton_direction(mats, moment, norm2):
     """Newton direction H of S -> sum ||e^S A_k e^-S||^2 at S = 0, on
     Hermitian S: half the least-squares fit S of sum ||A_k + [S, A_k]||^2
-    (the fit's quadratic term is half the Hessian).  With J_k = I (x) A_k^T
-    - A_k (x) I the matrix of S -> [S, A_k] on vec(S), the fit's normal
+    (the fit's quadratic term is half the Hessian).  With J_X the matrix
+    of S -> [S, X] on vec(S) (_commutator_jacobian), the fit's normal
     equations are sum_k (J_k^H J_k + J_k J_k^H) vec(S) / 2 = -vec(moment);
-    that n^2 x n^2 matrix is (I (x) G^T + G (x) I) / 2 - sum_X X (x) conj(X)
-    over X in {A_k, A_k^H}, with G = sum_X X X^H.  The scalars, its kernel,
-    are pinned at trace zero."""
-    k, n, _ = mats.shape
-    eye = np.eye(n)
-    both = np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
-    gram = (both @ both.conj().transpose(0, 2, 1)).sum(axis=0)
-    flat = both.reshape(2 * k, n * n)
-    # axes (i, a, j, b) -> row (i, a), column (j, b)
-    normal = (0.5 * (eye[:, None, :, None] * gram.T[None, :, None, :]
-                     + gram[:, None, :, None] * eye[None, :, None, :])
-              + (norm2 / n) * eye[:, :, None, None] * eye[None, None, :, :]
-              - (flat.T @ flat.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3))
-    s = np.linalg.solve(normal.reshape(n * n, n * n),
-                        -moment.ravel()).reshape(n, n)
+    as J_X^H = J_{X^H}, that n^2 x n^2 matrix is J J^H / 2 for J the
+    Jacobian of the stack of every A_k and A_k^H.  J_{X^H} is J_X
+    conjugated, with both vec indices transposed, so the A_k^H half of
+    J J^H mirrors the A_k half.  The scalars, its kernel, are pinned at
+    trace zero."""
+    n = mats.shape[1]
+    jac = _commutator_jacobian(mats)
+    half = (jac @ jac.conj().T).reshape(n, n, n, n)
+    normal = 0.5 * (half + half.transpose(1, 0, 3, 2).conj()).reshape(n * n, n * n)
+    vec_eye = np.eye(n).ravel()
+    normal += (norm2 / n) * np.outer(vec_eye, vec_eye)
+    s = np.linalg.solve(normal, -moment.ravel()).reshape(n, n)
     return (s + s.conj().T) / 4
 
 

@@ -114,13 +114,18 @@ def system_in(doc) -> FuchsianSystem:
     if not isinstance(doc, dict) or doc.get("schema") != SYSTEM_SCHEMA:
         raise InputFormatError(f"expected a {SYSTEM_SCHEMA} document")
     try:
-        legs = tuple(doc["legs"])
+        legs = doc["legs"]
+        if not isinstance(legs, list) or any(type(x) is not int for x in legs):
+            raise InputFormatError("legs must be a list of JSON integers")
+        legs = tuple(legs)
         if legs not in AFFINE_LEGS.values():
             raise InputFormatError(f"legs {list(legs)} are not an affine signature")
         graph = StarGraph(legs)
         n = graph.delta[graph.center]
         poles = tuple(complex(p[0], p[1]) for p in doc["poles"])
         lam = lam_in(doc["lam"])
+        if not isinstance(doc["offsets"], list):
+            raise InputFormatError("offsets must be a list")
         offsets = tuple(_scalar_in(o) for o in doc["offsets"])
         residues = [matrix_in(m) for m in doc["residues"]]
         tol = tol_in(doc.get("tol", DEFAULT_TOL))
@@ -165,12 +170,14 @@ def config_out(p: PointConfig) -> dict:
 def config_in(doc) -> PointConfig:
     if not isinstance(doc, dict) or doc.get("schema") != CONFIG_SCHEMA:
         raise InputFormatError(f"expected a {CONFIG_SCHEMA} document")
+    if not isinstance(doc.get("points"), list):
+        raise InputFormatError("a configuration needs a 'points' list")
+    vals = tuple(_scalar_in(s) for s in doc["points"])
+    if any(isinstance(v, GaussianRational) for v in vals):
+        raise InputFormatError("point configurations are rational tuples")
     try:
-        vals = tuple(parse_rational(s) for s in doc["points"])
-        if any(isinstance(v, GaussianRational) for v in vals):
-            raise InputFormatError("point configurations are rational tuples")
         return PointConfig(vals)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputFormatError(f"malformed configuration: {exc}")
 
 

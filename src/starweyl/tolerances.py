@@ -16,8 +16,7 @@ MAX_TOL = ZERO_CUTOFF   # largest tol a document may set: it is also lift's rank
 PAIRING_FLOOR = 1e-8    # smallest overlap |w.v| of a Schlesinger projector
 GAUGE_TOL = 1e-8        # gauge check at test points (share of the residues' norm)
 POLISH_TRIGGER = 1e-9   # drift after a Schlesinger move that forces re-anchoring
-POLISH_GOAL = 2e-13     # re-anchoring Gauss-Newton target residual (fit scale)
-POLISH_ACCEPT = 1e-11   # re-anchoring residual accepted as success (fit scale)
+POLISH_ACCEPT = 1e-11   # re-anchoring Gauss-Newton goal and acceptance (fit scale)
 DRIFT_GUARD = 5e-7      # translate: worst orbit drift of a state after a move
 FIT_TOL = 2e-11         # sampler fit residual (fit scale)
 SPAN_TOL = 1e-9         # a word extends the generated algebra (relative norm)

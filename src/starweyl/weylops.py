@@ -69,7 +69,6 @@ from .tolerances import (
     ORBIT_TOL,
     PAIRING_FLOOR,
     POLISH_ACCEPT,
-    POLISH_GOAL,
     POLISH_TRIGGER,
     ZERO_CUTOFF,
 )
@@ -627,9 +626,8 @@ def _plan_moves(sys: FuchsianSystem, mu: ParamVector):
         if new.width != old.width or new.mults != old.mults:
             raise DegeneracyError(
                 "translation lands on a wall (orbit type would change)")
-    # mu is integral (translate checks it): a Q(i) entry is its real part
-    mu_c, t_shifts, mults = _move_profile(
-        g, [int(getattr(mu[i], "re", mu[i])) for i in g.finite_nodes])
+    # mu is integral (translate checks it), so its entries are Fractions
+    mu_c, t_shifts, mults = _move_profile(g, [int(mu[i]) for i in g.finite_nodes])
     plans = []
     for _, consts in _ranked_offsets(tuple(map(tuple, t_shifts)),
                                      tuple(map(tuple, mults)), mu_c):
@@ -704,16 +702,11 @@ def _run_moves(sys0: FuchsianSystem, moves):
         if err > POLISH_TRIGGER:
             # near-degenerate passages amplify the witness error; re-anchor
             # the intermediate state on its exact eigenvalue data
-            polished = _polish_residues(finite, values, sys0.nu)
-            if polished is not None:
-                finite = polished
-                err = worst_drift(finite)
+            finite = _polish_residues(finite, values, sys0.nu)
+            err = worst_drift(finite)
         if err > DRIFT_GUARD:
             raise DegeneracyError(f"intermediate orbit drift {err:.2e}")
     return finite
-
-
-_JITTER = 1e-3    # restart perturbation of the re-anchoring conjugators
 
 
 def _polish_residues(finite, exact_values, nu):
@@ -723,7 +716,9 @@ def _polish_residues(finite, exact_values, nu):
     balanced tuple (balance_gauge) as starting point.  The fit's residual
     is measured on the scale of the exact eigenvalues, which a tuple that
     the moves left far from balanced (norm 1e4 and more) cannot reach.
-    Returns refined finite residues or None."""
+    One fit, whose goal is also its acceptance test (POLISH_ACCEPT);
+    returns the refined finite residues, or raises DegeneracyError naming
+    the residual the fit ended at."""
     n = finite[0].shape[0]
     pq = balance_gauge(list(finite) + [closing_residue(finite, nu)])
     if pq is not None:
@@ -743,18 +738,13 @@ def _polish_residues(finite, exact_values, nu):
         gs.append(vecs / np.where(norms > 0, norms, 1.0))
         diags.append(np.diag(exact[order]))
     target = _cx(nu) * np.eye(n)
+    _, out, res = _tr_gauss_newton(gs, diags, target, POLISH_ACCEPT,
+                                   max_iters=60)
     goal = POLISH_ACCEPT * _fit_scale(target, diags)
-    rng = np.random.default_rng(5)
-    start = gs
-    for attempt in range(3):
-        gs2, out, res = _tr_gauss_newton(start, diags, target, POLISH_GOAL,
-                                         max_iters=60)
-        if res <= goal:
-            return out[:-1]
-        start = [gk + _JITTER * (attempt + 1) * (rng.standard_normal((n, n))
-                                                 + 1j * rng.standard_normal((n, n)))
-                 for gk in gs]
-    return None
+    if res > goal:
+        raise DegeneracyError(
+            f"re-anchoring residual {res:.2e} above {goal:.2e}")
+    return out[:-1]
 
 
 def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
@@ -774,11 +764,13 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     the drift guard (DRIFT_GUARD), re-anchoring any intermediate state
     that drifts past POLISH_TRIGGER, and the first plan that gets through
     wins.  Its final tuple is re-anchored on the exact orbit data (the
-    matrices are floating-point witnesses of the exact bookkeeping),
-    which stops drift from accumulating along iterated orbits, and
-    verified, semisimplicity included (minpoly_error).  If every plan
-    fails, the DegeneracyError names the number of plans run, the last
-    plan's constants and the last error."""
+    matrices are floating-point witnesses of the exact bookkeeping) to
+    POLISH_ACCEPT, which stops drift from accumulating along iterated
+    orbits, and verified, semisimplicity included (minpoly_error).  A
+    re-anchoring that ends above POLISH_ACCEPT fails its plan.  If every
+    plan fails, the DegeneracyError names the number of plans run, the
+    last plan's constants and the last error (for a failed re-anchoring,
+    its residual)."""
     g = sys.graph
     mu = mu if isinstance(mu, ParamVector) else ParamVector(tuple(mu))
     if not weight_lattice_member(g, mu):
@@ -790,10 +782,9 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
         target_values = [s.eigen_list()
                          for s in predicted_specs(g, lam_new, offsets)]
         try:
-            finite = _run_moves(sys0, _move_sequence(sys0.specs, shifts))
-            polished = _polish_residues(finite, target_values, sys0.nu)
-            if polished is not None:
-                finite = polished
+            finite = _polish_residues(
+                _run_moves(sys0, _move_sequence(sys0.specs, shifts)),
+                target_values, sys0.nu)
             # verified once, after the det-zero shift (normalize verifies
             # what it shifts)
             out = sys0.with_residues(finite, lam=lam_new, offsets=offsets,

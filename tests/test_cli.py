@@ -115,6 +115,20 @@ def test_sakai_csv_and_walls(tmp_path):
     assert len(lines) == 5
 
 
+def test_integer_points_read_like_their_string_spelling(tmp_path):
+    points = [1, -2, 3, 5, 7, 11]
+    outs = []
+    for spelled in (points, [str(p) for p in points]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": serialize.CONFIG_SCHEMA,
+                                   "points": spelled}))
+        out = run_cli("sakai", "--config", str(cfg), "--mu", "[1,0,0,0,0,0]",
+                      "--steps", "2")
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_option_bounds_are_inclusive(tmp_path):
     sysfile = tmp_path / "sys.json"
     sysfile.write_text(serialize.dumps(_d4_document()))
@@ -258,6 +272,12 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("word", _word(["translate", [1, 0, 0, 0, -2, 0, 0]])),
     ("word", _word(["translate", [11, 0, 0, 0, -22]])),
     ("config", {"schema": serialize.CONFIG_SCHEMA, "points": ["1/2", "1/3"]}),
+    ("config", {"schema": serialize.CONFIG_SCHEMA, "points": "123456"}),
+    ("config", {"schema": serialize.CONFIG_SCHEMA,
+                "points": [1, 2, 3, 5, 7, 11.5]}),
+    ("config", {"schema": serialize.CONFIG_SCHEMA,
+                "points": ["1+1i", "2", "3", "5", "7", "11"]}),
+    ("config", {"schema": serialize.CONFIG_SCHEMA}),
     ("lam", {"schema": serialize.LAM_SCHEMA,
              "values": ["1/0", "0", "0", "0", "0"]}),
     ("lam", {"schema": serialize.LAM_SCHEMA,
@@ -269,6 +289,8 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("system", {"legs": [1, 1]}),
     ("system", {"legs": [2, 2, 2]}),
     ("system", {"legs": [1, 1, 1, 120]}),
+    ("system", {"legs": [True, True, True, True]}),
+    ("system", {"offsets": "0000"}),
     ("system", {"poles": [[0.0, 0.0]]}),
     ("system", {"poles": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}),
     ("system", {"residues": [[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]] * 4}),
@@ -305,9 +327,11 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         "leg-extra-element", "central-extra-element", "string-relabel",
         "string-tensor", "short-translate", "long-translate",
         "translate-sum-33",
-        "two-point-config", "lam-zero-denominator", "lam-off-level-zero",
+        "two-point-config", "string-points", "float-point", "gaussian-point",
+        "no-points", "lam-zero-denominator", "lam-off-level-zero",
         "lam-pairs", "offset-pairs", "lam-wrong-length", "offsets-too-short",
-        "legs-1-1", "legs-2-2-2", "legs-1-1-1-120", "one-pole",
+        "legs-1-1", "legs-2-2-2", "legs-1-1-1-120", "boolean-legs",
+        "string-offsets", "one-pole",
         "duplicate-poles", "non-square-residues", "no-residues", "nan-residue",
         "far-apart-poles", "pole-ratio-overflow", "near-poles",
         "negative-tol", "zero-tol", "huge-tol", "boolean-tol", "string-tol",
@@ -395,6 +419,24 @@ def test_translate_tag_accepts_what_mu_accepts(tmp_path, capsys):
                          "--word", str(word)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc.pop("applied_word") == [["translate", mu]]
+        outs.append(doc)
+    assert outs[0] == outs[1]
+
+
+def test_translate_tag_field_does_not_depend_on_the_spelling(tmp_path, capsys):
+    """An integer spelled as a Gaussian rational ("-1+0i") is that
+    integer: the result is the same system, with field tag Q."""
+    from starweyl import cli
+    sysfile = tmp_path / "sys.json"
+    sysfile.write_text(json.dumps(_d4_document()))
+    outs = []
+    for first in ("-1", "-1+0i"):
+        word = tmp_path / "word.json"
+        word.write_text(json.dumps(_word(["translate", [first, 0, 0, 1, 1]])))
+        assert cli.main(["apply", "--system", str(sysfile),
+                         "--word", str(word)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["lam"]["field"] == "Q"
         outs.append(doc)
     assert outs[0] == outs[1]
 

@@ -256,6 +256,17 @@ def test_param_vector_is_exact_by_construction():
             ParamVector((F(1), bad))
 
 
+def test_param_vector_field_does_not_depend_on_the_spelling():
+    # a Gaussian rational with zero imaginary part is narrowed to a Fraction
+    i = GaussianRational(0, 1)
+    total = ParamVector((i,)) + ParamVector((-i,))
+    assert total.values == (F(0),) and type(total[0]) is F
+    assert total.field == "Q"
+    lam = ParamVector((GaussianRational(-1, 0), F(1, 2), i))
+    assert type(lam[0]) is F and lam[0] == -1 and lam[2] is i
+    assert ParamVector((GaussianRational(-1, 0), 0)).field == "Q"
+
+
 def test_is_regular_examples():
     g = StarGraph.affine("D4")
     zero = ParamVector((F(0),) * 5)

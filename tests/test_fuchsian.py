@@ -392,6 +392,21 @@ def test_verify_rejects_a_jordan_block_with_the_right_char_poly():
         make_system(g, poles, finite, lam)
 
 
+def test_orbit_check_needs_the_char_poly_beyond_minpoly_and_trace():
+    """diag(0,0,0,2/3,2/3,2/3) against the E8 spec (0, 1/3, 2/3), each
+    twice: semisimple with eigenvalues among the spec's (minimal-polynomial
+    residual 0) and the same trace, yet another orbit.  Only the
+    characteristic-polynomial distance sees it, so that check stays."""
+    from starweyl.fuchsian import _check_orbits, minpoly_error
+    spec = OrbitSpec(6, ((F(0), 2), (F(1, 3), 2), (F(2, 3), 2)))
+    a = np.diag([0, 0, 0, 2 / 3, 2 / 3, 2 / 3]).astype(complex)
+    assert minpoly_error(a, spec.values) == 0.0
+    assert np.trace(a) == pytest.approx(to_complex(spec.trace()), abs=1e-15)
+    assert char_poly_error(a, spec.eigen_list()) == pytest.approx(2 / 27)
+    with pytest.raises(DegeneracyError, match="7.41e-02 away from its orbit"):
+        _check_orbits([(a, spec)], 1e-9, "residue 0")
+
+
 # ---------------------------------------------------------------------------
 # balancing
 
