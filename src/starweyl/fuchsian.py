@@ -19,6 +19,7 @@ import functools
 import itertools
 import random
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -155,11 +156,17 @@ def predicted_specs(g: StarGraph, lam: ParamVector, offsets=None) -> tuple[Orbit
 
 
 @functools.lru_cache(maxsize=256)
-def _target_poly(eigenvalues: tuple) -> tuple[np.ndarray, float]:
-    """Exact characteristic polynomial with the given roots, as complex
-    coefficients, and its coefficient scale."""
-    target = np.array([ratlin.to_complex(c) for c in
-                       ratlin.poly_from_roots([(v, 1) for v in eigenvalues])])
+def _target_poly(multiset: frozenset) -> tuple[np.ndarray, float]:
+    """Exact characteristic polynomial with the roots of the
+    (eigenvalue, multiplicity) multiset, as complex coefficients, and its
+    coefficient scale.  Each coefficient is an integer over a power of the
+    roots' common denominator (ratlin.root_poly_integers), and int / int
+    rounds exactly as float(Fraction) does, so the coefficients are
+    to_complex of the Fraction polynomial, bit for bit."""
+    d, re, im = ratlin.root_poly_integers(
+        [v for v, mult in multiset for _ in range(mult)])
+    target = np.array([complex(x / d ** k, y / d ** k)
+                       for k, (x, y) in enumerate(zip(re, im))])
     target.setflags(write=False)
     return target, max(1.0, float(np.max(np.abs(target))))
 
@@ -168,7 +175,7 @@ def char_poly_error(a: np.ndarray, eigenvalues) -> float:
     """Relative coefficient distance between charpoly(a) and the exact
     polynomial with the given eigenvalues (with repeats, in any order)."""
     actual = np.poly(np.asarray(a, dtype=complex))
-    target, scale = _target_poly(tuple(eigenvalues))
+    target, scale = _target_poly(frozenset(Counter(eigenvalues).items()))
     return float(np.max(np.abs(actual - target))) / scale
 
 
@@ -383,10 +390,30 @@ def _commutator_jacobian(mats):
     return (left - right).transpose(1, 2, 0, 3, 4).reshape(n * n, k * n * n)
 
 
+def _pinned_normal(mats, norm2):
+    """The commutator Jacobian J of the (k, n, n) stack mats, and its normal
+    matrix J J^H + (norm2 / n) vec(I) vec(I)^T.  Commutators are trace
+    free, so vec(I) is in the kernel of J J^H, and for an irreducible tuple
+    (only the scalars commute with every A_k) it spans it; the pin, with
+    norm2 = sum ||A_k||^2 of the size of J J^H's other eigenvalues, makes
+    the matrix invertible and leaves J^H unchanged on the range of J."""
+    n = mats.shape[1]
+    jac = _commutator_jacobian(mats)
+    vec_eye = np.eye(n).ravel()
+    return jac, jac @ jac.conj().T + (norm2 / n) * np.outer(vec_eye, vec_eye)
+
+
 def _tr_gauss_newton(gs, diags, target, tol, max_iters):
     """Trust-region Gauss-Newton for sum_k g_k D_k g_k^{-1} = target,
     acting on the conjugators.  Returns (gs, mats, residual) with gs and
-    mats as lists of matrices."""
+    mats as lists of matrices.
+
+    The step is the minimum-norm solution x of J x = -vec(f), for J the
+    commutator Jacobian of the current mats and f their residual, taken as
+    x = J^H y with y solving the pinned normal equations (_pinned_normal):
+    one n^2 x n^2 solve instead of a least-squares problem on the
+    n^2 x k n^2 Jacobian.  A singular normal matrix (LinAlgError) ends the
+    fit at its current residual."""
     n = target.shape[0]
     eye = np.eye(n)
     k = len(diags)
@@ -410,8 +437,12 @@ def _tr_gauss_newton(gs, diags, target, tol, max_iters):
     for _ in range(max_iters):
         if res < tol * scale:
             break
-        x, *_ = np.linalg.lstsq(_commutator_jacobian(mats), -f.ravel(),
-                                rcond=None)
+        jac, normal = _pinned_normal(mats, float(np.vdot(mats, mats).real))
+        try:
+            y = np.linalg.solve(normal, -f.ravel())
+        except np.linalg.LinAlgError:
+            break
+        x = jac.conj().T @ y
         nx = float(np.linalg.norm(x))
         if nx > radius:
             x = x * (radius / nx)
@@ -627,13 +658,10 @@ def _newton_direction(mats, moment, norm2):
     Jacobian of the stack of every A_k and A_k^H.  J_{X^H} is J_X
     conjugated, with both vec indices transposed, so the A_k^H half of
     J J^H mirrors the A_k half.  The scalars, its kernel, are pinned at
-    trace zero."""
+    trace zero by _pinned_normal, whose pin is its own mirror."""
     n = mats.shape[1]
-    jac = _commutator_jacobian(mats)
-    half = (jac @ jac.conj().T).reshape(n, n, n, n)
+    half = _pinned_normal(mats, norm2)[1].reshape(n, n, n, n)
     normal = 0.5 * (half + half.transpose(1, 0, 3, 2).conj()).reshape(n * n, n * n)
-    vec_eye = np.eye(n).ravel()
-    normal += (norm2 / n) * np.outer(vec_eye, vec_eye)
     s = np.linalg.solve(normal, -moment.ravel()).reshape(n, n)
     return (s + s.conj().T) / 4
 

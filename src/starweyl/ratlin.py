@@ -12,7 +12,7 @@ work lives in numpy over in the matrix modules, never here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class GaussianRational:
@@ -281,20 +281,40 @@ def left_pseudo_inverse(phi):
     return mmul(inv(mmul(pt, phi)), pt)
 
 
+def root_poly_integers(roots):
+    """The monic polynomial with the given exact roots (repeated by
+    multiplicity, in any order) on integers: returns (d, re, im) such that
+    its coefficient of degree n - k, highest degree first, is
+    (re[k] + i im[k]) / d^k.  d is the common denominator of the roots, and
+    re[k] + i im[k] is the elementary symmetric polynomial e_k of the
+    negated Gaussian integers d * root."""
+    parts = [(r.re, r.im) if isinstance(r, GaussianRational) else (r, 0)
+             for r in roots]
+    d = lcm(*(x.denominator for part in parts for x in part))
+    zs = [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+          for a, b in parts]
+    re, im = [1], [0]
+    for a, b in zs:
+        # multiply by x - (a + i b): c_k <- c_k - (a + i b) c_(k-1)
+        prev_re, prev_im = [0] + re, [0] + im
+        re = [x - a * y + b * z for x, y, z in zip(re + [0], prev_re, prev_im)]
+        im = [x - a * z - b * y for x, y, z in zip(im + [0], prev_re, prev_im)]
+    return d, re, im
+
+
 def poly_from_roots(pairs):
     """Monic polynomial with prescribed (root, multiplicity) pairs, exact.
 
-    Coefficients highest degree first, matching charpoly.
+    Coefficients highest degree first, matching charpoly: Fractions, or
+    GaussianRationals after the leading 1 when any root is one.
     """
-    coeffs = [Fraction(1)]
-    for root, mult in pairs:
-        for _ in range(mult):
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i] = nxt[i] + c
-                nxt[i + 1] = nxt[i + 1] - c * root
-            coeffs = nxt
-    return tuple(coeffs)
+    roots = [root for root, mult in pairs for _ in range(mult)]
+    d, re, im = root_poly_integers(roots)
+    if not any(isinstance(r, GaussianRational) for r in roots):
+        return tuple(Fraction(x, d ** k) for k, x in enumerate(re))
+    return (Fraction(1),) + tuple(
+        GaussianRational(Fraction(x, d ** k), Fraction(y, d ** k))
+        for k, (x, y) in enumerate(zip(re, im)) if k)
 
 
 def poly_eval(coeffs, x):

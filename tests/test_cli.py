@@ -407,7 +407,7 @@ def test_system_fields_must_match_what_they_derive_from(tmp_path, capsys,
 
 def test_translate_tag_accepts_what_mu_accepts(tmp_path, capsys):
     """A translate tag may give the finite coordinates only, as --mu may;
-    the extending entry is completed and the word is echoed as written."""
+    the extending entry is completed and the word is echoed as given."""
     from starweyl import cli
     sysfile = tmp_path / "sys.json"
     sysfile.write_text(json.dumps(_d4_document()))
@@ -439,6 +439,21 @@ def test_translate_tag_field_does_not_depend_on_the_spelling(tmp_path, capsys):
         assert doc["lam"]["field"] == "Q"
         outs.append(doc)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("tag, echo", [
+    (["translate", ["-1+0i", 0, 0, 1, 1]], ["translate", ["-1", 0, 0, 1, 1]]),
+    (["tensor", ["2/4", 0, 0]], ["tensor", ["1/2", 0, 0]]),
+])
+def test_applied_word_echoes_exact_entries_in_canonical_form(tmp_path, capsys,
+                                                              tag, echo):
+    from starweyl import cli
+    sysfile = tmp_path / "sys.json"
+    sysfile.write_text(json.dumps(_d4_document()))
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps(_word(tag)))
+    assert cli.main(["apply", "--system", str(sysfile), "--word", str(word)]) == 0
+    assert json.loads(capsys.readouterr().out)["applied_word"] == [echo]
 
 
 _JSON = st.recursive(

@@ -1,8 +1,10 @@
 import functools
+import json
 import os
 import random
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,12 @@ from starweyl.fuchsian import (
     sample_system,
     signature,
 )
-from starweyl.ratlin import poly_from_roots, to_complex
+from starweyl.ratlin import (
+    GaussianRational,
+    format_rational,
+    poly_from_roots,
+    to_complex,
+)
 
 E8_MULTS = ((3, 3), (2, 2, 2), (1, 1, 1, 1, 1, 1))
 
@@ -101,6 +108,21 @@ def test_sampling_is_deterministic():
     a, _ = sample_system("E7", seed=5)
     b, _ = sample_system("E7", seed=5)
     assert all((x == y).all() for x, y in zip(a.residues, b.residues))
+
+
+def test_sampled_lam_matches_the_golden_tracks():
+    """The exact lam of sample_system(t, s) for D4/E6/E7/E8 and seeds
+    0-24, pinned in tests/data/sample_lam.json: a change to the fit may
+    move float bits of the residues, never which lam a seed draws."""
+    golden = json.loads((Path(__file__).parent / "data" / "sample_lam.json")
+                        .read_text())
+    assert sorted(golden) == ["D4", "E6", "E7", "E8"]
+    for type_name, tracks in golden.items():
+        assert len(tracks) == 25
+        for seed, want in enumerate(tracks):
+            lam = sample_system(type_name, seed)[1]
+            assert [format_rational(v) for v in lam.values] == want, \
+                (type_name, seed)
 
 
 def test_specs_are_computed_once_per_system():
@@ -227,7 +249,8 @@ def test_regular_implies_irreducible_statistics():
 
 def _reference_gauss_newton(gs, diags, target, tol, max_iters):
     """The trust-region Gauss-Newton fit one matrix at a time, with the
-    Jacobian assembled from np.kron blocks."""
+    Jacobian assembled from np.kron blocks and the minimum-norm step taken
+    through its normal matrix, pinned on the scalars."""
     from starweyl.fuchsian import _fit_scale
     n = target.shape[0]
     eye = np.eye(n)
@@ -250,7 +273,9 @@ def _reference_gauss_newton(gs, diags, target, tol, max_iters):
         if res < tol * scale:
             break
         jac = np.hstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
-        x, *_ = np.linalg.lstsq(jac, -f.ravel(), rcond=None)
+        norm2 = float(np.vdot(np.array(mats), np.array(mats)).real)
+        normal = jac @ jac.conj().T + (norm2 / n) * np.outer(eye.ravel(), eye.ravel())
+        x = jac.conj().T @ np.linalg.solve(normal, -f.ravel())
         nx = float(np.linalg.norm(x))
         if nx > radius:
             x = x * (radius / nx)
@@ -301,6 +326,83 @@ def test_batched_gauss_newton_matches_per_matrix(n):
         assert got[2] == want[2]
         for a, b in zip(got[0] + got[1], want[0] + want[1]):
             assert np.array_equal(a, b)
+
+
+def _irreducible_tuple(rng, n, k):
+    """k random complex n x n matrices: generic, so only the scalars
+    commute with all of them."""
+    return np.array([_complex_normal(rng, (n, n)) for _ in range(k)])
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_normal_equations_step_is_the_minimum_norm_step(n):
+    """J^H y, with y solving the pinned normal equations, is lstsq's
+    minimum-norm solution of J x = -vec(f), for any right-hand side f."""
+    from starweyl.fuchsian import _commutator_jacobian, _pinned_normal
+    for seed in range(6):
+        rng = np.random.default_rng([n, seed, 1])
+        mats = _irreducible_tuple(rng, n, 2 + seed % 3)
+        f = _complex_normal(rng, (n, n))
+        jac, normal = _pinned_normal(mats, float(np.vdot(mats, mats).real))
+        got = jac.conj().T @ np.linalg.solve(normal, -f.ravel())
+        want, *_ = np.linalg.lstsq(_commutator_jacobian(mats), -f.ravel(),
+                                   rcond=None)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_scalar_diagonals_end_the_fit_at_the_starting_residual(n):
+    """Scalar diagonals make every commutator vanish (J = 0), so the pinned
+    normal matrix is singular: the fit stops where it started instead of
+    raising."""
+    from starweyl.fuchsian import _tr_gauss_newton
+    rng = np.random.default_rng(n)
+    diags = [c * np.eye(n) for c in (1.5, -0.25 + 1j, 2.0)]
+    target = _complex_normal(rng, (n, n))
+    start_res = float(np.linalg.norm(sum(diags) - target))
+    gs, mats, res = _tr_gauss_newton([np.eye(n)] * 3, diags, target, 2e-11, 60)
+    assert res == start_res
+    assert all(np.array_equal(g, np.eye(n)) for g in gs)
+    assert all(np.array_equal(a, d) for a, d in zip(mats, diags))
+
+
+def _fraction_poly(roots):
+    """Reference: the monic polynomial with the given roots by the
+    Fraction recurrence p <- p * (x - r), highest degree first."""
+    coeffs = [F(1)]
+    for r in roots:
+        nxt = [F(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] = nxt[i] + c
+            nxt[i + 1] = nxt[i + 1] - c * r
+        coeffs = nxt
+    return coeffs
+
+
+_Q_ROOT = st.fractions(min_value=-50, max_value=50, max_denominator=2310)
+_QI_ROOT = st.builds(GaussianRational, _Q_ROOT,
+                     st.fractions(min_value=-9, max_value=9, max_denominator=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_target_poly_has_the_fraction_bits(data):
+    """The integer kernel behind _target_poly and poly_from_roots gives
+    exactly the Fraction recurrence's polynomial, and its complex
+    coefficients bit for bit (signed zeros too), over Q and Q(i), with
+    repeated roots, whatever order the roots come in."""
+    from starweyl.fuchsian import _target_poly
+    field = data.draw(st.sampled_from([_Q_ROOT, st.one_of(_Q_ROOT, _QI_ROOT)]))
+    pool = data.draw(st.lists(field, min_size=1, max_size=6))
+    roots = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    shuffled = data.draw(st.permutations(roots))
+    want = _fraction_poly(roots)
+    got = poly_from_roots([(r, 1) for r in shuffled])
+    assert list(got) == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+    _target_poly.cache_clear()
+    target, _ = _target_poly(frozenset(Counter(shuffled).items()))
+    assert target.tobytes() == np.array([to_complex(c) for c in want]).tobytes()
 
 
 _ENTRY = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
