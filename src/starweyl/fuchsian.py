@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import zlib
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -107,6 +107,16 @@ class OrbitSpec:
     def shifted(self, c) -> "OrbitSpec":
         return OrbitSpec(self.size, tuple((v + c, m) for v, m in self.entries))
 
+    @functools.cached_property
+    def orbit_key(self) -> tuple:
+        """What the orbit test (_check_orbits) reads of the spec, on
+        integers: the eigenvalue multiset (_multiset) and, when some value
+        repeats, the distinct values' ratlin.exact_key in order, whose
+        minimal polynomial is tested; None when they are all distinct."""
+        counts = _key_counts(self.entries)
+        return frozenset(counts.items()), \
+            tuple(counts) if len(counts) < self.size else None
+
 
 def orbit_from_leg(n: int, leg_dims, leg_params, first=Fraction(0)) -> OrbitSpec:
     """Determinant-zero orbit spec read off a leg.
@@ -155,43 +165,149 @@ def predicted_specs(g: StarGraph, lam: ParamVector, offsets=None) -> tuple[Orbit
                  for j in range(g.num_legs))
 
 
+def _key_counts(pairs) -> dict:
+    """{ratlin.exact_key(value): total multiplicity} of (value,
+    multiplicity) pairs, equal values merged, in order of first
+    appearance."""
+    counts = {}
+    for v, mult in pairs:
+        key = ratlin.exact_key(v)
+        counts[key] = counts.get(key, 0) + mult
+    return counts
+
+
+def _multiset(eigenvalues) -> frozenset:
+    """The exact eigenvalue list (with repeats, in any order) as the key of
+    _target_poly: a frozenset of (ratlin.exact_key, multiplicity) pairs."""
+    return frozenset(_key_counts((v, 1) for v in eigenvalues).items())
+
+
 @functools.lru_cache(maxsize=256)
-def _target_poly(multiset: frozenset) -> tuple[np.ndarray, float]:
-    """Exact characteristic polynomial with the roots of the
-    (eigenvalue, multiplicity) multiset, as complex coefficients, and its
-    coefficient scale.  Each coefficient is an integer over a power of the
-    roots' common denominator (ratlin.root_poly_integers), and int / int
-    rounds exactly as float(Fraction) does, so the coefficients are
-    to_complex of the Fraction polynomial, bit for bit."""
-    d, re, im = ratlin.root_poly_integers(
-        [v for v, mult in multiset for _ in range(mult)])
-    target = np.array([complex(x / d ** k, y / d ** k)
-                       for k, (x, y) in enumerate(zip(re, im))])
-    target.setflags(write=False)
+def _target_poly(multiset: frozenset) -> tuple[tuple, float]:
+    """Exact characteristic polynomial of the _multiset key, as complex
+    coefficients, and its coefficient scale max(1, max_k |t_k|).  Each
+    coefficient is an integer over a power of the roots' common
+    denominator (ratlin.root_poly_integers), and int / int rounds exactly
+    as float(Fraction) does, so the coefficients are to_complex of the
+    Fraction polynomial, bit for bit."""
+    d, re, im = ratlin.root_poly_integers(multiset)
+    target = tuple(complex(x / d ** k, y / d ** k)
+                   for k, (x, y) in enumerate(zip(re, im)))
     return target, max(1.0, float(np.max(np.abs(target))))
 
 
+def _expand(roots) -> tuple[list, list]:
+    """Real and imaginary parts of the coefficients of prod (x - z) over
+    the complex roots, highest degree first, in plain floats with np.poly's
+    bits: each root is one np.convolve step, whose two-term complex dot
+    product rounds exactly as the two lines below."""
+    n = len(roots)
+    re = [1.0] + [0.0] * n
+    im = [0.0] * (n + 1)
+    for j, z in enumerate(roots):
+        wr, wi = -z.real, -z.imag
+        for k in range(j + 1, 0, -1):
+            pr, pi = re[k - 1], im[k - 1]
+            re[k] = (re[k] + pr * wr) - pi * wi
+            im[k] = (im[k] + pi * wr) + pr * wi
+    return re, im
+
+
+def _np_poly(a: np.ndarray, roots) -> tuple[list, list]:
+    """np.poly(a) as real and imaginary parts, from the eigvals roots of a
+    (_expand).  np.poly keeps the real parts only when the sorted roots
+    equal their sorted conjugates; coefficients that overflow are
+    np.poly's own, since its products with 0 and 1, which _expand skips,
+    decide between inf and NaN."""
+    re, im = _expand(roots)
+    if not math.isfinite(sum(re) + sum(im)):
+        poly = np.poly(a)
+        return poly.real.tolist(), np.imag(poly).tolist()
+    def lex(z):
+        return z.real, z.imag
+
+    if sorted(roots, key=lex) == sorted((z.conjugate() for z in roots), key=lex):
+        im = [0.0] * len(re)
+    return re, im
+
+
+def _char_poly_distances(mats, multisets) -> list[float]:
+    """The relative coefficient distance of each square matrix's
+    characteristic polynomial, as np.poly computes it, from the exact one
+    of its _multiset key: max_k |c_k - t_k| / max(1, max_k |t_k|).
+
+    Matrices of one size share one np.linalg.eigvals call (a batched zgeev
+    gives each matrix the bits of its own call), _np_poly expands the
+    roots, and one np.abs call takes every |c_k - t_k| (Python's
+    abs(complex) can differ by an ulp; np.abs gives an element the same
+    bits wherever it sits).  A matrix with a non-finite entry has distance
+    NaN."""
+    by_size = {}
+    for i, a in enumerate(mats):
+        by_size.setdefault(a.shape[0], []).append(i)
+    polys = [None] * len(mats)
+    for idx in by_size.values():
+        stack = np.array([mats[i] for i in idx], dtype=complex)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            stack[~finite] = 0.0
+        for i, a, roots, ok in zip(idx, stack, np.linalg.eigvals(stack).tolist(),
+                                   finite.tolist()):
+            if ok:
+                polys[i] = _np_poly(a, roots)
+    out = [math.nan] * len(mats)
+    rows, diffs, starts = [], [], []
+    for i, (poly, multiset) in enumerate(zip(polys, multisets)):
+        if poly is not None:
+            target, scale = _target_poly(multiset)
+            rows.append((i, scale))
+            starts.append(len(diffs))
+            diffs.extend(complex(x - t.real, y - t.imag)
+                         for x, y, t in zip(*poly, target, strict=True))
+    if rows:
+        dists = np.maximum.reduceat(np.abs(np.array(diffs)), starts).tolist()
+        for (i, scale), d in zip(rows, dists):
+            out[i] = d / scale
+    return out
+
+
+def char_poly_errors(mats, eigenvalue_lists) -> list[float]:
+    """char_poly_error of each matrix against its eigenvalue list, with one
+    eigvals call per matrix size (_char_poly_distances)."""
+    return _char_poly_distances([np.asarray(a) for a in mats],
+                                [_multiset(v) for v in eigenvalue_lists])
+
+
 def char_poly_error(a: np.ndarray, eigenvalues) -> float:
-    """Relative coefficient distance between charpoly(a) and the exact
-    polynomial with the given eigenvalues (with repeats, in any order)."""
-    actual = np.poly(np.asarray(a, dtype=complex))
-    target, scale = _target_poly(frozenset(Counter(eigenvalues).items()))
-    return float(np.max(np.abs(actual - target))) / scale
+    """Relative coefficient distance between charpoly(a), as np.poly
+    computes it, and the exact polynomial with the given eigenvalues (with
+    repeats, in any order): max_k |c_k - t_k| / max(1, max_k |t_k|),
+    bit for bit as np.poly and np.abs give it (_char_poly_distances); NaN
+    when a has a non-finite entry or the polynomial overflows."""
+    return char_poly_errors([a], [eigenvalues])[0]
 
 
-def minpoly_error(a: np.ndarray, eigenvalues) -> float:
-    """Residual ||prod_k (a - xi_k)|| over the distinct exact eigenvalues
-    xi_k, relative to max(1, ||a||)^(their number): zero exactly when a is
-    semisimple with eigenvalues among them, which the characteristic
-    polynomial cannot tell from a Jordan block."""
+def _minpoly_residual(a: np.ndarray, keys) -> float:
+    """minpoly_error over the distinct values given by their
+    ratlin.exact_key, multiplied in the order given."""
     a = np.asarray(a, dtype=complex)
-    values = np.array([complex(v) for v in dict.fromkeys(eigenvalues)])
+    values = np.array([complex(p / q, r / s) for p, q, r, s in keys])
     factors = a - values[:, None, None] * np.eye(a.shape[0])
     acc = factors[0]
     for f in factors[1:]:
         acc = acc @ f
     scale = max(1.0, float(np.linalg.norm(a))) ** len(values)
     return float(np.linalg.norm(acc)) / scale
+
+
+def minpoly_error(a: np.ndarray, eigenvalues) -> float:
+    """Residual ||prod_k (a - xi_k)|| over the distinct exact eigenvalues
+    xi_k, in order of first appearance, relative to max(1, ||a||)^(their
+    number): zero exactly when a is semisimple with eigenvalues among them,
+    which the characteristic polynomial cannot tell from a Jordan block.
+    Each xi_k is the float of its ratlin.exact_key (the bits of
+    complex(xi_k))."""
+    return _minpoly_residual(a, dict.fromkeys(map(ratlin.exact_key, eigenvalues)))
 
 
 def closing_residue(finite, nu) -> np.ndarray:
@@ -201,23 +317,28 @@ def closing_residue(finite, nu) -> np.ndarray:
 
 
 def _check_orbits(pieces, tol: float, subject: str) -> float:
-    """The orbit test of a witness: each (matrix, spec) piece in turn must
-    have a characteristic polynomial within tol of the spec's
-    (char_poly_error) and, where the spec repeats a value, a minimal
-    polynomial residual within MINPOLY_TOL (minpoly_error).  Raises
-    DegeneracyError, naming the subject, at the first piece that fails;
-    returns the worst characteristic-polynomial distance."""
+    """The orbit test of a witness.  Each (matrix, spec) piece in turn must
+    have a characteristic polynomial within tol of the spec's (the
+    distances of all pieces come from one _char_poly_distances call) and,
+    where the spec repeats a value, a minimal polynomial residual within
+    MINPOLY_TOL (_minpoly_residual over spec.orbit_key).  A NaN distance or
+    residual fails.  Raises DegeneracyError, naming the subject, at the
+    first piece that fails; returns the worst characteristic-polynomial
+    distance."""
+    pieces = list(pieces)
+    errs = _char_poly_distances([a for a, _ in pieces],
+                                [spec.orbit_key[0] for _, spec in pieces])
     worst = 0.0
-    for a, spec in pieces:
-        err = char_poly_error(a, spec.eigen_list())
-        worst = max(worst, err)
-        if err > tol:
+    for (a, spec), err in zip(pieces, errs):
+        if not err <= tol:
             raise DegeneracyError(
                 f"{subject} is {err:.2e} away from its orbit spec (tol {tol:.1e})")
+        worst = max(worst, err)
         # n distinct eigenvalues make a matching characteristic
         # polynomial semisimple; only a repeated one can hide a Jordan block
-        err = minpoly_error(a, spec.values) if spec.width < spec.size else 0.0
-        if err > MINPOLY_TOL:
+        distinct = spec.orbit_key[1]
+        err = 0.0 if distinct is None else _minpoly_residual(a, distinct)
+        if not err <= MINPOLY_TOL:
             raise DegeneracyError(
                 f"{subject} is not semisimple (minimal polynomial residual "
                 f"{err:.2e}, tol {MINPOLY_TOL:.1e})")

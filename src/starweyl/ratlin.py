@@ -281,24 +281,34 @@ def left_pseudo_inverse(phi):
     return mmul(inv(mmul(pt, phi)), pt)
 
 
-def root_poly_integers(roots):
-    """The monic polynomial with the given exact roots (repeated by
-    multiplicity, in any order) on integers: returns (d, re, im) such that
-    its coefficient of degree n - k, highest degree first, is
-    (re[k] + i im[k]) / d^k.  d is the common denominator of the roots, and
-    re[k] + i im[k] is the elementary symmetric polynomial e_k of the
-    negated Gaussian integers d * root."""
-    parts = [(r.re, r.im) if isinstance(r, GaussianRational) else (r, 0)
-             for r in roots]
-    d = lcm(*(x.denominator for part in parts for x in part))
-    zs = [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
-          for a, b in parts]
+def exact_key(x) -> tuple:
+    """An exact scalar (int, Fraction or GaussianRational) on integers:
+    (re numerator, re denominator, im numerator, im denominator), equal
+    for equal values (a GaussianRational with zero imaginary part keys
+    like its Fraction).  Its float is complex(p / q, r / s), which rounds
+    exactly as to_complex does."""
+    if isinstance(x, GaussianRational):
+        return (x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator)
+    return (x.numerator, x.denominator, 0, 1)
+
+
+def root_poly_integers(keyed):
+    """The monic polynomial with the roots given as (exact_key, multiplicity)
+    pairs (in any order, equal keys allowed) on integers: returns
+    (d, re, im) such that its coefficient of degree n - k, highest degree
+    first, is (re[k] + i im[k]) / d^k.  d is the common denominator of the
+    roots, and re[k] + i im[k] is the elementary symmetric polynomial e_k
+    of the negated Gaussian integers d * root."""
+    keyed = list(keyed)
+    d = lcm(*(den for (_, q, _, s), _ in keyed for den in (q, s)))
     re, im = [1], [0]
-    for a, b in zs:
-        # multiply by x - (a + i b): c_k <- c_k - (a + i b) c_(k-1)
-        prev_re, prev_im = [0] + re, [0] + im
-        re = [x - a * y + b * z for x, y, z in zip(re + [0], prev_re, prev_im)]
-        im = [x - a * z - b * y for x, y, z in zip(im + [0], prev_re, prev_im)]
+    for (p, q, r, s), mult in keyed:
+        a, b = p * (d // q), r * (d // s)
+        for _ in range(mult):
+            # multiply by x - (a + i b): c_k <- c_k - (a + i b) c_(k-1)
+            prev_re, prev_im = [0] + re, [0] + im
+            re = [x - a * y + b * z for x, y, z in zip(re + [0], prev_re, prev_im)]
+            im = [x - a * z - b * y for x, y, z in zip(im + [0], prev_re, prev_im)]
     return d, re, im
 
 
@@ -308,9 +318,9 @@ def poly_from_roots(pairs):
     Coefficients highest degree first, matching charpoly: Fractions, or
     GaussianRationals after the leading 1 when any root is one.
     """
-    roots = [root for root, mult in pairs for _ in range(mult)]
-    d, re, im = root_poly_integers(roots)
-    if not any(isinstance(r, GaussianRational) for r in roots):
+    pairs = list(pairs)
+    d, re, im = root_poly_integers((exact_key(r), mult) for r, mult in pairs)
+    if not any(isinstance(r, GaussianRational) for r, _ in pairs):
         return tuple(Fraction(x, d ** k) for k, x in enumerate(re))
     return (Fraction(1),) + tuple(
         GaussianRational(Fraction(x, d ** k), Fraction(y, d ** k))

@@ -554,6 +554,27 @@ def test_e8_seed0_orbit_reproducer_exits_0(tmp_path, capsys):
         assert row.split(",")[1:10] == [format_rational(v) for v in want.values]
 
 
+def test_overflowing_residues_exit_3(tmp_path, capsys):
+    """Residues of size 1e200 overflow every characteristic polynomial
+    coefficient to NaN; the orbit test fails them instead of passing a NaN
+    distance (apply used to exit 0 and write the system)."""
+    import numpy as np
+
+    from starweyl import cli
+    doc = serialize.system_out(sample_system("D4", 1)[0])
+    rng = np.random.default_rng(1)
+    finite = [1e200 * (rng.standard_normal((2, 2))
+                       + 1j * rng.standard_normal((2, 2))) for _ in range(3)]
+    doc["residues"] = [serialize.matrix_out(a) for a in finite + [-sum(finite)]]
+    sysfile, word = tmp_path / "sys.json", tmp_path / "word.json"
+    sysfile.write_text(json.dumps(doc))
+    word.write_text(json.dumps(_word(["leg", 1])))
+    code = cli.main(["apply", "--system", str(sysfile), "--word", str(word)])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("degeneracy: residue is nan away ")
+
+
 def test_orbit_mu_bound_is_checked_before_reading_the_system(tmp_path, capsys):
     from starweyl import cli
     from starweyl.tolerances import MU_NORM_MAX

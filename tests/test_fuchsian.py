@@ -388,10 +388,11 @@ _QI_ROOT = st.builds(GaussianRational, _Q_ROOT,
 @given(st.data())
 def test_integer_target_poly_has_the_fraction_bits(data):
     """The integer kernel behind _target_poly and poly_from_roots gives
-    exactly the Fraction recurrence's polynomial, and its complex
-    coefficients bit for bit (signed zeros too), over Q and Q(i), with
-    repeated roots, whatever order the roots come in."""
-    from starweyl.fuchsian import _target_poly
+    exactly the Fraction recurrence's polynomial, and _target_poly, keyed
+    on the integer multiset, its complex coefficients bit for bit (signed
+    zeros too), over Q and Q(i), with repeated roots, whatever order the
+    roots come in."""
+    from starweyl.fuchsian import _multiset, _target_poly
     field = data.draw(st.sampled_from([_Q_ROOT, st.one_of(_Q_ROOT, _QI_ROOT)]))
     pool = data.draw(st.lists(field, min_size=1, max_size=6))
     roots = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
@@ -401,8 +402,9 @@ def test_integer_target_poly_has_the_fraction_bits(data):
     assert list(got) == want
     assert [type(c) for c in got] == [type(c) for c in want]
     _target_poly.cache_clear()
-    target, _ = _target_poly(frozenset(Counter(shuffled).items()))
-    assert target.tobytes() == np.array([to_complex(c) for c in want]).tobytes()
+    target, _ = _target_poly(_multiset(shuffled))
+    assert np.array(target).tobytes() == \
+        np.array([to_complex(c) for c in want]).tobytes()
 
 
 _ENTRY = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
@@ -445,6 +447,151 @@ def test_char_poly_error_matches_flat_reference(data):
     assert char_poly_error(a, shuffled) == want
     spec = OrbitSpec(n, tuple(Counter(values).items()))
     assert char_poly_error(a, spec.eigen_list()) == want
+
+
+def _np_poly_distance(a, eigenvalues):
+    """Reference of char_poly_error: np.poly against the Fraction
+    polynomial of the eigenvalues."""
+    target = np.array([to_complex(c) for c in
+                       poly_from_roots([(v, 1) for v in eigenvalues])])
+    return (float(np.max(np.abs(np.poly(np.asarray(a, dtype=complex))
+                                - target)))
+            / max(1.0, float(np.max(np.abs(target)))))
+
+
+def _kernel_corpus(count, seed=0):
+    """(matrix, exact eigenvalue list) pairs, n = 1..8, scales 1e-3..1e4:
+    real and complex random matrices (scored against random exact
+    values), and conjugates of exact diagonals over Q, over Q(i) and
+    closed under conjugation (scored against their own spectra)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(-3, 4)
+        re = [F(int(p), int(q)) for p, q in
+              zip(rng.integers(-9, 10, n), rng.integers(1, 8, n))]
+        kind = k % 5
+        if kind < 2:
+            a = rng.standard_normal((n, n))
+            if kind:
+                a = a + 1j * rng.standard_normal((n, n))
+            out.append((a * scale, re))
+            continue
+        if kind == 2:
+            values = re
+        elif kind == 3:
+            values = [GaussianRational(v, F(int(q), 3))
+                      for v, q in zip(re, rng.integers(-4, 5, n))]
+        else:
+            half = [GaussianRational(v, F(1, 2)) for v in re[:n // 2]]
+            values = half + [GaussianRational(v.re, -v.im) for v in half]
+            values += re[len(values):]
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        d = np.diag([to_complex(v) for v in values])
+        out.append((g @ d @ np.linalg.inv(g), values))
+    return out
+
+
+def test_expand_has_np_poly_bits():
+    """The plain-float expansion of the eigvals roots, with np.poly's real
+    branch, is np.poly's polynomial byte for byte."""
+    from starweyl.fuchsian import _expand
+    for a, _ in _kernel_corpus(400):
+        a = np.asarray(a, dtype=complex)
+        want = np.poly(a)
+        roots = np.linalg.eigvals(a)
+        re, im = _expand(roots.tolist())
+        got = np.array(re) if want.dtype.kind == "f" else \
+            np.array(re) + 1j * np.array(im)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_batched_eigvals_equal_per_matrix_calls():
+    corpus = _kernel_corpus(300, seed=1)
+    for n in range(1, 9):
+        mats = [np.asarray(a, dtype=complex) for a, _ in corpus if len(a) == n]
+        batched = np.linalg.eigvals(np.array(mats))
+        for a, roots in zip(mats, batched):
+            assert roots.tobytes() == np.linalg.eigvals(a).tobytes()
+
+
+def test_char_poly_errors_have_the_np_poly_bits():
+    """One char_poly_errors call over matrices of mixed sizes gives each
+    matrix np.poly's distance, bit for bit; a non-finite matrix scores NaN
+    without spoiling its group."""
+    from starweyl.fuchsian import char_poly_errors
+    corpus = _kernel_corpus(400, seed=2)
+    mats = [a for a, _ in corpus]
+    values = [v for _, v in corpus]
+    want = [_np_poly_distance(a, v) for a, v in corpus]
+    assert char_poly_errors(mats, values) == want
+    assert [char_poly_error(a, v) for a, v in corpus] == want
+    n = len(mats[0])
+    broken = np.full((n, n), np.inf)
+    got = char_poly_errors([broken] + mats, [values[0]] + values)
+    assert np.isnan(got[0]) and got[1:] == want
+
+
+def test_minpoly_error_values_unchanged():
+    """minpoly_error takes its values from the integer keys; the floats,
+    and so the residuals, are those of complex(value)."""
+    from starweyl.fuchsian import minpoly_error
+
+    def reference(a, eigenvalues):
+        a = np.asarray(a, dtype=complex)
+        vals = np.array([complex(v) for v in dict.fromkeys(eigenvalues)])
+        acc = a - vals[0] * np.eye(len(a))
+        for v in vals[1:]:
+            acc = acc @ (a - v * np.eye(len(a)))
+        return (float(np.linalg.norm(acc))
+                / max(1.0, float(np.linalg.norm(a))) ** len(vals))
+
+    for a, values in _kernel_corpus(200, seed=3):
+        repeated = values + values[::2]
+        assert minpoly_error(a, repeated) == reference(a, repeated)
+
+
+@pytest.mark.parametrize("name", AFFINE_TYPES)
+def test_verify_distances_have_the_np_poly_bits(name):
+    """verify() returns the worst np.poly distance of its residues, bit for
+    bit, on sampled systems and their central reflections."""
+    from starweyl.weylops import central_reflection
+    for seed in range(3):
+        sysm, _ = sample_system(name, seed)
+        for cur in (sysm, central_reflection(sysm)):
+            want = max(_np_poly_distance(a, s.eigen_list())
+                       for a, s in zip(cur.residues, cur.specs))
+            assert cur.verify() == want
+
+
+def test_nan_distances_fail_the_orbit_check():
+    """A polynomial that overflows to NaN, or a non-finite matrix, fails
+    the orbit test instead of slipping past every err > tol."""
+    from starweyl.fuchsian import _check_orbits
+    spec = OrbitSpec(2, ((F(0), 1), (F(1), 1)))
+    rng = np.random.default_rng(1)
+    huge = 1e200 * (rng.standard_normal((2, 2))
+                    + 1j * rng.standard_normal((2, 2)))
+    assert np.isnan(char_poly_error(huge, spec.eigen_list()))
+    for a in (huge, np.full((2, 2), np.nan)):
+        with pytest.raises(DegeneracyError, match="residue is nan away"):
+            _check_orbits([(np.diag([0.0, 1.0]), spec), (a, spec)],
+                          1e-9, "residue")
+
+
+def test_minpoly_runs_when_a_value_repeats_apart():
+    """Equal values need not sit next to each other in a spec (a leg whose
+    parameters cancel); the Jordan block behind the repeat still fails."""
+    from starweyl.fuchsian import _check_orbits
+    spec = orbit_from_leg(3, (2, 1), (F(1), F(-1)))
+    assert spec.width == spec.size == 3
+    jordan = np.array([[0, 1, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
+    with pytest.raises(DegeneracyError, match="not semisimple"):
+        _check_orbits([(jordan, spec)], 1e-9, "residue")
+    assert _check_orbits([(np.diag([0, 0, -1]).astype(complex), spec)],
+                         1e-9, "residue") == 0.0
 
 
 # ---------------------------------------------------------------------------

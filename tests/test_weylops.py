@@ -112,6 +112,39 @@ def test_project_round_trip_signature():
     assert signature(back, 4).distance(signature(sys0, 4)) < 1e-8
 
 
+def test_relabel_first_two_keeps_every_orbit_key():
+    """The swap reorders the full leg's eigenvalues, but neither any
+    piece's eigenvalue multiset nor the order of a repeated spec's values:
+    the orbit test of the relabelled pair reads what the lifted pair's
+    read."""
+    from starweyl import weylops
+    from starweyl.quiver import permute_params
+    for name in AFFINE_TYPES:
+        for seed in range(30):
+            pair = lift(normalize(sample_system(name, seed)[0], "det_zero"))
+            out = replace(pair, lam_plus=permute_params(pair.inc,
+                                                        pair.lam_plus))
+            assert weylops._orbit_keys(out) == weylops._orbit_keys(pair)
+
+
+def test_relabel_first_two_verifies_where_the_keys_differ(monkeypatch):
+    from starweyl import weylops
+    verify = IncrementedPair.verify
+    calls = []
+
+    def spy(pair):
+        calls.append(pair)
+        return verify(pair)
+
+    pair = lift(normalize(sample_system("E6", 0)[0], "det_zero"))
+    monkeypatch.setattr(IncrementedPair, "verify", spy)
+    weylops.relabel_first_two(pair)
+    assert calls == []
+    monkeypatch.setattr(weylops, "_orbit_keys", lambda p: [id(p)])
+    out = weylops.relabel_first_two(pair)
+    assert len(calls) == 1 and calls[0] is out
+
+
 def test_project_requires_simple_zero():
     # engineered wall: the big-orbit spectrum acquires a double zero
     inc = increment(AlmostAffineQuiver.affine("D4"))
@@ -468,24 +501,42 @@ def test_translate_failure_names_the_ladder(monkeypatch):
     assert msg.endswith("last: eigenvector pairing is degenerate (w.v = 0))")
 
 
-def test_failed_re_anchoring_raises_and_names_its_residual(monkeypatch):
+@pytest.mark.parametrize("residual, spelled", [(0.5, r"5\.00e-01"),
+                                               (float("nan"), "nan")])
+def test_failed_re_anchoring_raises_and_names_its_residual(monkeypatch,
+                                                           residual, spelled):
     from starweyl import weylops
 
     def stuck(gs, diags, target, tol, max_iters):
-        return gs, gs, 0.5
+        return gs, gs, residual
 
     monkeypatch.setattr(weylops, "_tr_gauss_newton", stuck)
     sysm, _ = sample_system("E6", 23)
     values = [s.eigen_list() for s in sysm.specs]
     with pytest.raises(DegeneracyError,
-                       match=r"^re-anchoring residual 5\.00e-01 above "):
+                       match=rf"^re-anchoring residual {spelled} above "):
         weylops._polish_residues(sysm.finite_residues, values, sysm.nu)
     with pytest.raises(DegeneracyError) as info:
         translate(sysm, light_translation_basis(sysm.graph)[3])
     msg = str(info.value)
     assert msg.startswith("translation failed for every move plan (3 plans run")
-    assert re.search(r"last: re-anchoring residual 5\.00e-01 above "
+    assert re.search(rf"last: re-anchoring residual {spelled} above "
                      r"[0-9.e+-]+\)$", msg), msg
+
+
+def test_a_nan_drift_fails_the_guard(monkeypatch):
+    """Non-finite matrices after a move have a NaN drift: nothing to
+    re-anchor, and the guard rejects it."""
+    from starweyl import weylops
+
+    def overflow(finite, *args):
+        return [np.full_like(a, np.nan) for a in finite]
+
+    monkeypatch.setattr(weylops, "_unit_move", overflow)
+    sysm, _ = sample_system("E6", 23)
+    with pytest.raises(DegeneracyError,
+                       match=r"last: intermediate orbit drift nan\)$"):
+        translate(sysm, light_translation_basis(sysm.graph)[3])
 
 
 def test_dp_orbit_failure_names_step_and_pairing(monkeypatch):
