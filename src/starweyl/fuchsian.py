@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import zlib
 from dataclasses import dataclass, replace
@@ -223,9 +224,7 @@ def _np_poly(a: np.ndarray, roots) -> tuple[list, list]:
     if not math.isfinite(sum(re) + sum(im)):
         poly = np.poly(a)
         return poly.real.tolist(), np.imag(poly).tolist()
-    def lex(z):
-        return z.real, z.imag
-
+    lex = operator.attrgetter("real", "imag")
     if sorted(roots, key=lex) == sorted((z.conjugate() for z in roots), key=lex):
         im = [0.0] * len(re)
     return re, im

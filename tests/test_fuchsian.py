@@ -460,8 +460,8 @@ def _np_poly_distance(a, eigenvalues):
 
 
 def _kernel_corpus(count, seed=0):
-    """(matrix, exact eigenvalue list) pairs, n = 1..8, scales 1e-3..1e4:
-    real and complex random matrices (scored against random exact
+    """(matrix, exact eigenvalue list) pairs, n = 1..8: real and complex
+    random matrices at scales 1e-3..1e4 (scored against random exact
     values), and conjugates of exact diagonals over Q, over Q(i) and
     closed under conjugation (scored against their own spectra)."""
     rng = np.random.default_rng(seed)
