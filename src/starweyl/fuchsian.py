@@ -111,12 +111,13 @@ class OrbitSpec:
     @functools.cached_property
     def orbit_key(self) -> tuple:
         """What the orbit test (_check_orbits) reads of the spec, on
-        integers: the eigenvalue multiset (_multiset) and, when some value
-        repeats, the distinct values' ratlin.exact_key in order, whose
-        minimal polynomial is tested; None when they are all distinct."""
+        integers: the eigenvalue multiset (_multiset) and, when the spec
+        lists fewer values than its size, the distinct values'
+        ratlin.exact_key in order, whose minimal polynomial is tested;
+        None otherwise."""
         counts = _key_counts(self.entries)
         return frozenset(counts.items()), \
-            tuple(counts) if len(counts) < self.size else None
+            tuple(counts) if self.width < self.size else None
 
 
 def orbit_from_leg(n: int, leg_dims, leg_params, first=Fraction(0)) -> OrbitSpec:
@@ -197,11 +198,16 @@ def _target_poly(multiset: frozenset) -> tuple[tuple, float]:
     return target, max(1.0, float(np.max(np.abs(target))))
 
 
-def _expand(roots) -> tuple[list, list]:
-    """Real and imaginary parts of the coefficients of prod (x - z) over
-    the complex roots, highest degree first, in plain floats with np.poly's
-    bits: each root is one np.convolve step, whose two-term complex dot
-    product rounds exactly as the two lines below."""
+def _expand(roots) -> tuple[list, list] | None:
+    """np.poly's coefficients of prod (x - z) over the complex eigvals roots
+    of a matrix, highest degree first, as plain-float real and imaginary
+    parts; None when one of them is not finite.  Each root is one
+    np.convolve step, rounded as the tail loop of OpenBLAS's zdotu rounds
+    its two-term complex dot product: np.poly's bits where numpy calls
+    that kernel (its OpenBLAS wheels); numpy's own loop, MKL or a fused
+    multiply-add round the sums differently, a few ulps apart.  The
+    imaginary parts are zeroed, as in np.poly, when the sorted roots equal
+    their sorted conjugates."""
     n = len(roots)
     re = [1.0] + [0.0] * n
     im = [0.0] * (n + 1)
@@ -211,19 +217,8 @@ def _expand(roots) -> tuple[list, list]:
             pr, pi = re[k - 1], im[k - 1]
             re[k] = (re[k] + pr * wr) - pi * wi
             im[k] = (im[k] + pi * wr) + pr * wi
-    return re, im
-
-
-def _np_poly(a: np.ndarray, roots) -> tuple[list, list]:
-    """np.poly(a) as real and imaginary parts, from the eigvals roots of a
-    (_expand).  np.poly keeps the real parts only when the sorted roots
-    equal their sorted conjugates; coefficients that overflow are
-    np.poly's own, since its products with 0 and 1, which _expand skips,
-    decide between inf and NaN."""
-    re, im = _expand(roots)
-    if not math.isfinite(sum(re) + sum(im)):
-        poly = np.poly(a)
-        return poly.real.tolist(), np.imag(poly).tolist()
+    if not all(map(math.isfinite, re + im)):
+        return None
     lex = operator.attrgetter("real", "imag")
     if sorted(roots, key=lex) == sorted((z.conjugate() for z in roots), key=lex):
         im = [0.0] * len(re)
@@ -236,11 +231,11 @@ def _char_poly_distances(mats, multisets) -> list[float]:
     of its _multiset key: max_k |c_k - t_k| / max(1, max_k |t_k|).
 
     Matrices of one size share one np.linalg.eigvals call (a batched zgeev
-    gives each matrix the bits of its own call), _np_poly expands the
+    gives each matrix the bits of its own call), _expand expands the
     roots, and one np.abs call takes every |c_k - t_k| (Python's
     abs(complex) can differ by an ulp; np.abs gives an element the same
-    bits wherever it sits).  A matrix with a non-finite entry has distance
-    NaN."""
+    bits wherever it sits).  A matrix with a non-finite entry, or whose
+    polynomial overflows, has distance NaN."""
     by_size = {}
     for i, a in enumerate(mats):
         by_size.setdefault(a.shape[0], []).append(i)
@@ -250,10 +245,10 @@ def _char_poly_distances(mats, multisets) -> list[float]:
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             stack[~finite] = 0.0
-        for i, a, roots, ok in zip(idx, stack, np.linalg.eigvals(stack).tolist(),
-                                   finite.tolist()):
+        for i, roots, ok in zip(idx, np.linalg.eigvals(stack).tolist(),
+                                finite.tolist()):
             if ok:
-                polys[i] = _np_poly(a, roots)
+                polys[i] = _expand(roots)
     out = [math.nan] * len(mats)
     rows, diffs, starts = [], [], []
     for i, (poly, multiset) in enumerate(zip(polys, multisets)):
@@ -270,27 +265,20 @@ def _char_poly_distances(mats, multisets) -> list[float]:
     return out
 
 
-def char_poly_errors(mats, eigenvalue_lists) -> list[float]:
-    """char_poly_error of each matrix against its eigenvalue list, with one
-    eigvals call per matrix size (_char_poly_distances)."""
-    return _char_poly_distances([np.asarray(a) for a in mats],
-                                [_multiset(v) for v in eigenvalue_lists])
-
-
 def char_poly_error(a: np.ndarray, eigenvalues) -> float:
     """Relative coefficient distance between charpoly(a), as np.poly
     computes it, and the exact polynomial with the given eigenvalues (with
-    repeats, in any order): max_k |c_k - t_k| / max(1, max_k |t_k|),
-    bit for bit as np.poly and np.abs give it (_char_poly_distances); NaN
-    when a has a non-finite entry or the polynomial overflows."""
-    return char_poly_errors([a], [eigenvalues])[0]
+    repeats, in any order): max_k |c_k - t_k| / max(1, max_k |t_k|), with
+    np.poly's and np.abs's rounding (_char_poly_distances); NaN when a has
+    a non-finite entry or the polynomial overflows."""
+    return _char_poly_distances([np.asarray(a)], [_multiset(eigenvalues)])[0]
 
 
 def _minpoly_residual(a: np.ndarray, keys) -> float:
     """minpoly_error over the distinct values given by their
     ratlin.exact_key, multiplied in the order given."""
     a = np.asarray(a, dtype=complex)
-    values = np.array([complex(p / q, r / s) for p, q, r, s in keys])
+    values = np.array([ratlin.key_complex(key) for key in keys])
     factors = a - values[:, None, None] * np.eye(a.shape[0])
     acc = factors[0]
     for f in factors[1:]:
@@ -304,7 +292,7 @@ def minpoly_error(a: np.ndarray, eigenvalues) -> float:
     xi_k, in order of first appearance, relative to max(1, ||a||)^(their
     number): zero exactly when a is semisimple with eigenvalues among them,
     which the characteristic polynomial cannot tell from a Jordan block.
-    Each xi_k is the float of its ratlin.exact_key (the bits of
+    Each xi_k is the ratlin.key_complex of its exact_key (the bits of
     complex(xi_k))."""
     return _minpoly_residual(a, dict.fromkeys(map(ratlin.exact_key, eigenvalues)))
 
@@ -319,11 +307,11 @@ def _check_orbits(pieces, tol: float, subject: str) -> float:
     """The orbit test of a witness.  Each (matrix, spec) piece in turn must
     have a characteristic polynomial within tol of the spec's (the
     distances of all pieces come from one _char_poly_distances call) and,
-    where the spec repeats a value, a minimal polynomial residual within
-    MINPOLY_TOL (_minpoly_residual over spec.orbit_key).  A NaN distance or
-    residual fails.  Raises DegeneracyError, naming the subject, at the
-    first piece that fails; returns the worst characteristic-polynomial
-    distance."""
+    where the spec lists fewer values than its size, a minimal polynomial
+    residual within MINPOLY_TOL (_minpoly_residual over spec.orbit_key).
+    A NaN distance or residual fails.  Raises DegeneracyError, naming the
+    subject, at the first piece that fails; returns the worst
+    characteristic-polynomial distance."""
     pieces = list(pieces)
     errs = _char_poly_distances([a for a, _ in pieces],
                                 [spec.orbit_key[0] for _, spec in pieces])

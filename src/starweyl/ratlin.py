@@ -285,11 +285,17 @@ def exact_key(x) -> tuple:
     """An exact scalar (int, Fraction or GaussianRational) on integers:
     (re numerator, re denominator, im numerator, im denominator), equal
     for equal values (a GaussianRational with zero imaginary part keys
-    like its Fraction).  Its float is complex(p / q, r / s), which rounds
-    exactly as to_complex does."""
+    like its Fraction).  key_complex gives its float."""
     if isinstance(x, GaussianRational):
         return (x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator)
     return (x.numerator, x.denominator, 0, 1)
+
+
+def key_complex(key) -> complex:
+    """The builtin complex of an exact_key, as int / int parts, which round
+    exactly as to_complex of its value does."""
+    p, q, r, s = key
+    return complex(p / q, r / s)
 
 
 def root_poly_integers(keyed):

@@ -38,12 +38,13 @@ from .errors import DegeneracyError
 from .fuchsian import (
     FuchsianSystem,
     OrbitSpec,
+    _char_poly_distances,
     _check_orbits,
     _fit_scale,
+    _multiset,
     _tr_gauss_newton,
     balance,
     balance_gauge,
-    char_poly_errors,
     closing_residue,
     make_system,
     normalize,
@@ -699,9 +700,11 @@ def _run_moves(sys0: FuchsianSystem, moves):
     rng = np.random.default_rng(1)  # test points of the gauge checks
 
     def worst_drift(fin):
-        # np.max, unlike max, keeps a NaN distance wherever it sits
-        return float(np.max(char_poly_errors(
-            list(fin) + [closing_residue(fin, sys0.nu)], values)))
+        # against the moved values; np.max, unlike max, keeps a NaN
+        # distance wherever it sits
+        return float(np.max(_char_poly_distances(
+            list(fin) + [closing_residue(fin, sys0.nu)],
+            [_multiset(v) for v in values])))
 
     # guard the scaffolding states; the final tuple is additionally held to
     # the full tolerance after re-anchoring
