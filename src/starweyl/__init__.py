@@ -32,10 +32,10 @@ _SUBMODULES = {
                "project_params", "shift_params"),
     "sakai": ("PicardLattice", "PointConfig", "chi", "cremona_reflect",
               "reflect_pic", "sakai_orbit", "swap_points", "wall_check"),
-    "weylops": ("IncrementedPair", "WeylWord", "apply_word",
-                "central_reflection", "dp_orbit", "leg_reflection", "lift",
+    "weylops": ("IncrementedPair", "apply_word", "central_reflection",
+                "dp_orbit", "leg_reflection", "lift",
                 "light_translation_basis", "project", "scalar_shift",
-                "schlesinger_step", "tensor_shift", "translate"),
+                "tensor_shift", "translate"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULES.items()
             for name in names}

@@ -80,9 +80,7 @@ def _parse_mu(doc: list, graph: StarGraph, name: str = "--mu") -> ParamVector:
     completed, and is integral and level zero."""
     _check_mu_norm(doc, name)
     if len(doc) == graph.node_count - 1:
-        # finite coordinates; complete the extending component
-        ext = -sum(graph.delta[i] * c for i, c in zip(graph.finite_nodes, doc))
-        doc = list(doc) + [ext]
+        doc = list(doc) + [graph.extending_entry(doc)]
     if len(doc) != graph.node_count:
         raise InputFormatError(
             f"{name} needs {graph.node_count} (or {graph.node_count - 1}) entries")
@@ -138,12 +136,11 @@ def cmd_sample(args) -> int:
 
 def cmd_apply(args) -> int:
     from .fuchsian import signature
-    from .weylops import WeylWord, apply_word
+    from .weylops import apply_word
     sysm = serialize.system_in(_read_json(args.system))
     tags = serialize.word_in(_read_json(args.word))
-    word = WeylWord(tuple(
-        ("translate", _parse_mu(tag[1], sysm.graph, "translate tag"))
-        if tag[0] == "translate" else tag for tag in tags))
+    word = [("translate", _parse_mu(tag[1], sysm.graph, "translate tag"))
+            if tag[0] == "translate" else tag for tag in tags]
     try:
         out = apply_word(sysm, word)
     except ValueError as exc:

@@ -136,6 +136,11 @@ class StarGraph:
         """All nodes except the extending one (contiguous by construction)."""
         return tuple(range(self.node_count - 1))
 
+    def extending_entry(self, coords):
+        """The extending entry -sum delta_i c_i that completes the finite
+        coordinates c to a level-zero vector (delta_ext = 1)."""
+        return -sum(self.delta[i] * c for i, c in zip(self.finite_nodes, coords))
+
     def __repr__(self):
         t = self.affine_type
         return f"StarGraph{self.legs}" + (f"<affine {t}>" if t else "")

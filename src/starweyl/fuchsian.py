@@ -29,27 +29,14 @@ import numpy as np
 from . import ratlin
 from .dynkin import ParamVector, StarGraph, smallest_root_pairing
 from .errors import DegenerateSampleError, DegeneracyError
-
-# the tolerance table lives in tolerances; every name stays importable
-# from here as well
-from .tolerances import (  # noqa: F401
+from .tolerances import (
     BALANCE_TOL,
     DEFAULT_TOL,
-    DRIFT_GUARD,
     FIT_TOL,
-    GAUGE_TOL,
     INTEGER_MARGIN,
-    MAX_TOL,
     MINPOLY_TOL,
-    ORBIT_TOL,
-    PAIRING_FLOOR,
-    POLISH_ACCEPT,
-    POLISH_TRIGGER,
     ROOT_MARGIN,
-    SIG_LEN_MAX,
     SPAN_TOL,
-    SUM_TOL,
-    ZERO_CUTOFF,
 )
 
 # finite pole positions, one per leg except the last (which sits at infinity)
@@ -89,7 +76,7 @@ class OrbitSpec:
 
     @property
     def width(self) -> int:
-        """Degree of the minimal polynomial (number of listed eigenvalues)."""
+        """Number of listed eigenvalues; one value may be listed twice."""
         return len(self.entries)
 
     def eigen_list(self):
@@ -112,12 +99,13 @@ class OrbitSpec:
     def orbit_key(self) -> tuple:
         """What the orbit test (_check_orbits) reads of the spec, on
         integers: the eigenvalue multiset (_multiset) and, when the spec
-        lists fewer values than its size, the distinct values'
+        has fewer distinct values than its size, those values'
         ratlin.exact_key in order, whose minimal polynomial is tested;
-        None otherwise."""
+        None otherwise.  A value may be listed at non-adjacent places (0,
+        -1, 0), so the test counts distinct values, not listed ones."""
         counts = _key_counts(self.entries)
         return frozenset(counts.items()), \
-            tuple(counts) if self.width < self.size else None
+            tuple(counts) if len(counts) < self.size else None
 
 
 def orbit_from_leg(n: int, leg_dims, leg_params, first=Fraction(0)) -> OrbitSpec:
@@ -307,8 +295,9 @@ def _check_orbits(pieces, tol: float, subject: str) -> float:
     """The orbit test of a witness.  Each (matrix, spec) piece in turn must
     have a characteristic polynomial within tol of the spec's (the
     distances of all pieces come from one _char_poly_distances call) and,
-    where the spec lists fewer values than its size, a minimal polynomial
-    residual within MINPOLY_TOL (_minpoly_residual over spec.orbit_key).
+    where the spec has fewer distinct values than its size, a minimal
+    polynomial residual within MINPOLY_TOL (_minpoly_residual over
+    spec.orbit_key).
     A NaN distance or residual fails.  Raises DegeneracyError, naming the
     subject, at the first piece that fails; returns the worst
     characteristic-polynomial distance."""

@@ -180,11 +180,6 @@ def mmul(a, b):
     )
 
 
-def mvec(a, v):
-    return tuple(sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0))
-                 for i in range(len(a)))
-
-
 def transpose(a):
     return tuple(zip(*a))
 
@@ -331,13 +326,6 @@ def poly_from_roots(pairs):
     return (Fraction(1),) + tuple(
         GaussianRational(Fraction(x, d ** k), Fraction(y, d ** k))
         for k, (x, y) in enumerate(zip(re, im)) if k)
-
-
-def poly_eval(coeffs, x):
-    acc = coeffs[0] * 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 def smith_diagonal(a):

@@ -81,9 +81,17 @@ def lam_out(lam: ParamVector) -> dict:
 
 
 def lam_in(doc) -> ParamVector:
-    if not isinstance(doc, dict) or not isinstance(doc.get("values"), list):
+    """A lam document's vector; its field, where given, must be the one
+    the values give."""
+    if not isinstance(doc, dict) or doc.get("schema") != LAM_SCHEMA:
+        raise InputFormatError(f"expected a {LAM_SCHEMA} document")
+    if not isinstance(doc.get("values"), list):
         raise InputFormatError("parameter document needs a 'values' list")
-    return ParamVector(tuple(_scalar_in(v) for v in doc["values"]))
+    lam = ParamVector(tuple(_scalar_in(v) for v in doc["values"]))
+    if "field" in doc and doc["field"] != lam.field:
+        raise InputFormatError(f"field {doc['field']!r} does not match the "
+                               f"values, which give {lam.field!r}")
+    return lam
 
 
 def system_out(sys: FuchsianSystem) -> dict:

@@ -421,53 +421,6 @@ def _unit_move(finite, poles, nu, up, up_val, down, down_val, rng):
     return out
 
 
-def schlesinger_step(sys: FuchsianSystem, pole_i: int, slot_k: int,
-                     pole_j: int, slot_l: int) -> FuchsianSystem:
-    """Elementary Schlesinger transformation: eigenvalue slot_k of pole_i
-    moves up by one, slot_l of pole_j moves down by one; both slots must
-    be simple (use translate for multiple eigenvalues).  The result is
-    renormalised to determinant zero, so lam moves by an integral
-    weight-lattice vector."""
-    if pole_i == pole_j:
-        raise ValueError("use translate for same-pole exponent moves")
-    specs = sys.specs
-    for pole, slot in ((pole_i, slot_k), (pole_j, slot_l)):
-        if not 0 <= pole < sys.m or not 0 <= slot < specs[pole].width:
-            raise ValueError("pole or slot out of range")
-        if specs[pole].mults[slot] != 1:
-            raise DegeneracyError(
-                "slot has multiplicity > 1; use translate, which moves all "
-                "copies through elementary steps")
-    up_val = specs[pole_i].values[slot_k]
-    down_val = specs[pole_j].values[slot_l]
-    new_vals = {p: list(specs[p].values) for p in range(sys.m)}
-    new_vals[pole_i][slot_k] = up_val + 1
-    new_vals[pole_j][slot_l] = down_val - 1
-    for p in (pole_i, pole_j):
-        if len(set(new_vals[p])) != len(new_vals[p]):
-            raise DegeneracyError("step would collide two eigenvalues")
-    rng = np.random.default_rng(0)
-    finite = _unit_move(list(sys.finite_residues), sys.poles, sys.nu,
-                        pole_i, up_val, pole_j, down_val, rng)
-    # rebuild exact bookkeeping from the moved slot values
-    lam_vals = list(sys.lam.values)
-    g = sys.graph
-    offsets = []
-    for p in range(sys.m):
-        vals = new_vals[p]
-        offsets.append(vals[0])
-        nodes = g.leg_nodes(p)
-        for j, node in enumerate(nodes):
-            if j + 1 < len(vals):
-                lam_vals[node] = vals[j] - vals[j + 1]
-    lam_vals[g.center] = sys.nu - sum(offsets, Fraction(0))
-    out = sys.with_residues(finite, lam=ParamVector(tuple(lam_vals)),
-                            offsets=offsets)
-    if sys.normalization == "det_zero":
-        out = normalize(out, "det_zero")
-    return out
-
-
 def _pole_tables(t_shifts, mults, bound: int):
     """Up and total move counts of one pole for every per-pole constant c in
     [-bound, bound]: U[..., c + bound] = sum_j mults_j max(t_j + c, 0) and
@@ -519,24 +472,6 @@ def _plan_keys(mu_c, shifts, mults):
         yield np.where(ok, key, _MASKED), scale, heads
 
 
-def _offset_candidates(t_shifts, mults, mu_c: int, keep: int = 3):
-    """Ranked choices of per-pole constants, minimising first the number of
-    same-pole up/down pairings that would need rerouting, then the total
-    number of elementary moves (_plan_keys).  Distinct plans dodge
-    distinct walls, so callers may retry down the list.  Returns
-    [(cost, constants), ...]; ties go to the smaller constants."""
-    ranked = []
-    for keys, scale, heads in _plan_keys([mu_c], [[row] for row in t_shifts],
-                                         mults):
-        row = keys[0]
-        valid = np.flatnonzero(row != _MASKED)
-        for h in valid[np.argsort(row[valid], kind="stable")[:keep]]:
-            head = heads[:, h].tolist()
-            ranked.append(((int(row[h]) // scale, int(row[h]) % scale),
-                           tuple(head) + (int(-mu_c - sum(head)),)))
-    return sorted(ranked)[:keep]
-
-
 _PLANS = 3        # ranked move plans translate tries
 _MASKED = np.iinfo(np.int64).max  # key of constants outside a vector's bound
 _KEY_BLOCK = 1 << 14  # keys per _plan_keys block, to keep its temporaries small
@@ -544,9 +479,23 @@ _KEY_BLOCK = 1 << 14  # keys per _plan_keys block, to keep its temporaries small
 
 @functools.lru_cache(maxsize=64)
 def _ranked_offsets(t_shifts: tuple, mults: tuple, mu_c: int):
-    """The best _PLANS _offset_candidates, memoised on tuples: every step
-    along one translation vector asks for the same ranking."""
-    return tuple(_offset_candidates(t_shifts, mults, mu_c, _PLANS))
+    """The best _PLANS choices of per-pole constants, minimising first the
+    number of same-pole up/down pairings that would need rerouting, then
+    the total number of elementary moves (_plan_keys).  Distinct plans
+    dodge distinct walls, so callers may retry down the list.  Returns
+    ((cost, constants), ...); ties go to the smaller constants.  Memoised
+    on tuples: every step along one translation vector asks for the same
+    ranking."""
+    ranked = []
+    for keys, scale, heads in _plan_keys([mu_c], [[row] for row in t_shifts],
+                                         mults):
+        row = keys[0]
+        valid = np.flatnonzero(row != _MASKED)
+        for h in valid[np.argsort(row[valid], kind="stable")[:_PLANS]]:
+            head = heads[:, h].tolist()
+            ranked.append(((int(row[h]) // scale, int(row[h]) % scale),
+                           tuple(head) + (int(-mu_c - sum(head)),)))
+    return tuple(sorted(ranked)[:_PLANS])
 
 
 def _move_profile(g: StarGraph, coords):
@@ -554,8 +503,7 @@ def _move_profile(g: StarGraph, coords):
     vector with the given finite coordinates; the eigenvalue shifts are
     (minus) the partial sums of the vector along each leg."""
     delta = g.delta
-    ext = -sum(delta[i] * c for i, c in zip(g.finite_nodes, coords))
-    full = list(coords) + [ext]
+    full = list(coords) + [g.extending_entry(coords)]
     mu_c = full[g.center]
     t_shifts, mults = [], []
     for p in range(g.num_legs):
@@ -575,7 +523,7 @@ def _move_profile(g: StarGraph, coords):
 
 
 def _min_offset_costs(g: StarGraph, coords) -> list:
-    """The best cost _offset_candidates(*_move_profile(g, c))[0][0] of every
+    """The best cost _ranked_offsets(*_move_profile(g, c))[0][0] of every
     coordinate vector c in coords, scored all at once.  The profile is
     linear in the coordinates (the multiplicities do not depend on them),
     so the slot shifts of all vectors come from one integer matrix
@@ -604,14 +552,9 @@ def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
     vectors, ties broken by coords, are taken greedily while they extend a
     unimodular set."""
     r = len(g.finite_nodes)
-    delta = g.delta
-
-    def ext(coords):
-        return -sum(delta[i] * c for i, c in zip(g.finite_nodes, coords))
-
     # a large extending component is never move-light
     candidates = [coords for coords in itertools.product((-1, 0, 1), repeat=r)
-                  if any(coords) and abs(ext(coords)) <= 2]
+                  if any(coords) and abs(g.extending_entry(coords)) <= 2]
     scored = sorted(zip(_min_offset_costs(g, candidates), candidates))
     chosen: list = []
     for _, coords in scored:
@@ -623,7 +566,7 @@ def light_translation_basis(g: StarGraph) -> tuple[ParamVector, ...]:
                 break
     assert len(chosen) == r, "failed to assemble a unimodular basis"
     return tuple(ParamVector(tuple(Fraction(c) for c in coords)
-                             + (Fraction(ext(coords)),))
+                             + (Fraction(g.extending_entry(coords)),))
                  for coords in chosen)
 
 
@@ -843,17 +786,6 @@ def dp_orbit(sys: FuchsianSystem, mu, steps: int, sig_len: int = 3):
 # composite words
 
 
-@dataclass(frozen=True)
-class WeylWord:
-    """Sequence of generator tags: ("leg", node), ("central",),
-    ("tensor", c_1..c_{m-1}), ("relabel", leg permutation)."""
-
-    tags: tuple
-
-    def __iter__(self):
-        return iter(self.tags)
-
-
 def relabel_legs(sys: FuchsianSystem, perm) -> FuchsianSystem:
     """Permute equal-length finite legs (diagram automorphism, exposed as
     a parameter/residue permutation; experimental)."""
@@ -874,9 +806,12 @@ def relabel_legs(sys: FuchsianSystem, perm) -> FuchsianSystem:
                        offsets=offsets, tol=sys.tol)
 
 
-def apply_word(sys: FuchsianSystem, word: WeylWord) -> FuchsianSystem:
+def apply_word(sys: FuchsianSystem, tags) -> FuchsianSystem:
+    """Apply the generator tags in order: ("leg", node), ("central",),
+    ("tensor", c_1..c_{m-1}), ("relabel", leg permutation) and
+    ("translate", mu)."""
     out = sys
-    for tag in word:
+    for tag in tags:
         kind = tag[0]
         if kind == "leg":
             out = leg_reflection(out, int(tag[1]))

@@ -626,6 +626,19 @@ def test_minpoly_error_tells_a_jordan_block_from_a_diagonal():
     assert minpoly_error(jordan, [half, half, F(-2)]) > 0.1
 
 
+def test_orbit_test_rejects_a_jordan_block_on_a_value_listed_twice():
+    """orbit_from_leg lists 0, -1, 0: three listed values, as many as the
+    size, yet only two distinct ones, so the Jordan block on 0 must meet
+    the minimal-polynomial test."""
+    from starweyl.fuchsian import _check_orbits
+    spec = orbit_from_leg(3, (2, 1), (1, -1))
+    assert spec.values == (0, -1, 0) and spec.width == spec.size
+    jordan = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert _check_orbits([(np.diag([0.0, 0.0, -1.0]), spec)], 1e-9, "x") == 0.0
+    with pytest.raises(DegeneracyError, match=r"not semisimple .*5\.00e-01"):
+        _check_orbits([(jordan, spec)], 1e-9, "residue")
+
+
 def test_verify_rejects_a_jordan_block_with_the_right_char_poly():
     """D4 with lam_1 = 0: residue 1 must be 0 (the double eigenvalue 0,
     semisimple), and the nilpotent Jordan block has the same
@@ -725,7 +738,8 @@ def test_newton_direction_is_half_the_hermitian_least_squares_fit():
 @settings(max_examples=12, deadline=None)
 @given(_SAMPLED, st.integers(0, 2 ** 16))
 def test_balance_properties(sampled, gauge_seed):
-    from starweyl.fuchsian import BALANCE_TOL, _moment_map, balance
+    from starweyl.fuchsian import _moment_map, balance
+    from starweyl.tolerances import BALANCE_TOL
     sysm = conjugated(_sampled(*sampled), _random_gauge(_sampled(*sampled).n,
                                                        gauge_seed))
     bal = balance(sysm)

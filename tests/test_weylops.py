@@ -32,7 +32,6 @@ from starweyl.quiver import AlmostAffineQuiver, increment
 from starweyl.tolerances import MINPOLY_TOL, ORBIT_TOL
 from starweyl.weylops import (
     IncrementedPair,
-    WeylWord,
     apply_word,
     central_reflection,
     dp_orbit,
@@ -42,7 +41,6 @@ from starweyl.weylops import (
     project,
     relabel_legs,
     scalar_shift,
-    schlesinger_step,
     tensor_shift,
     translate,
 )
@@ -255,28 +253,29 @@ def test_central_reflection_commutes_with_tensor_shift():
 
 @pytest.mark.parametrize("name", ("D4", "E6", "E7"))
 def test_schlesinger_step_and_inverse(name):
-    sysm, lam = sample_system(name, seed=13)
-    g = sysm.graph
-    specs = sysm.specs
-    pj = next(p for p in range(sysm.m - 1)
-              if any(m == 1 for m in specs[p].mults))
-    sl = next(k for k, m in enumerate(specs[pj].mults) if m == 1)
-    stepped = schlesinger_step(sysm, sysm.m - 1, 1, pj, sl)
-    mu = ParamVector(tuple(a - b for a, b in zip(stepped.lam.values,
-                                                 lam.values)))
-    assert weight_lattice_member(g, mu)
-    # trace moves by exactly one
-    dtr = np.trace(stepped.residues[sysm.m - 1]) - np.trace(sysm.residues[sysm.m - 1])
+    # one elementary move (_unit_move) raises slot 1 at infinity and lowers
+    # a simple finite slot; the opposite move undoes it
+    from starweyl.fuchsian import char_poly_error
+    from starweyl.weylops import _unit_move
+    sysm, _ = sample_system(name, seed=13)
+    specs, inf = sysm.specs, sysm.m - 1
+    pj = next(p for p in range(inf) if 1 in specs[p].mults)
+    sl = specs[pj].mults.index(1)
+    up_val, down_val = specs[inf].values[1], specs[pj].values[sl]
+    rng = np.random.default_rng(0)
+    moved = _unit_move(list(sysm.finite_residues), sysm.poles, sysm.nu, inf,
+                       up_val, pj, down_val, rng)
+    stepped = sysm.with_residues(moved, verify=False)
+    dtr = np.trace(stepped.residues[inf]) - np.trace(sysm.residues[inf])
     assert abs(dtr - 1) < 1e-9
-    back = schlesinger_step(stepped, pj, sl, sysm.m - 1, 1)
-    assert back.lam.values == lam.values
+    values = [list(spec.eigen_list()) for spec in specs]
+    for p, old, new in ((inf, up_val, up_val + 1), (pj, down_val, down_val - 1)):
+        values[p][values[p].index(old)] = new
+    assert max(map(char_poly_error, stepped.residues, values)) <= 1e-9
+    back = _unit_move(moved, sysm.poles, sysm.nu, pj, down_val - 1, inf,
+                      up_val + 1, rng)
+    back = sysm.with_residues(back)
     assert signature(back, 4).distance(signature(sysm, 4)) < 1e-8
-
-
-def test_schlesinger_step_rejects_multiple_slots():
-    sysm, _ = sample_system("E8", seed=13)
-    with pytest.raises(DegeneracyError):
-        schlesinger_step(sysm, 0, 0, 2, 1)
 
 
 @pytest.mark.parametrize("name", AFFINE_TYPES)
@@ -328,7 +327,7 @@ def test_braid_relations_on_signatures():
 
 def test_relabel_legs_and_word_application():
     sysm, lam = sample_system("D4", seed=6)
-    word = WeylWord((("relabel", (1, 0, 2, 3)), ("leg", 1), ("tensor", (0, 1, 0))))
+    word = (("relabel", (1, 0, 2, 3)), ("leg", 1), ("tensor", (0, 1, 0)))
     out = apply_word(sysm, word)
     out.verify()
     # relabelling twice with the same transposition undoes itself
@@ -779,26 +778,27 @@ def _profiles(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_profiles(), st.sampled_from((1, 3)))
-def test_offset_candidates_match_brute_force(profile, keep):
-    from starweyl.weylops import _offset_candidates
+@given(_profiles())
+def test_offset_candidates_match_brute_force(profile):
+    from starweyl.weylops import _PLANS, _ranked_offsets
     t_shifts, mults, mu_c = profile
-    got = _offset_candidates(t_shifts, mults, mu_c, keep)
-    assert got == _reference_offset_candidates(t_shifts, mults, mu_c, keep)
+    got = _ranked_offsets.__wrapped__(t_shifts, mults, mu_c)
+    assert list(got) == _reference_offset_candidates(t_shifts, mults, mu_c,
+                                                     _PLANS)
     assert all(type(x) is int for cost, cs in got for x in cost + cs)
 
 
 @settings(max_examples=50, deadline=None)
-@given(_profiles(), st.sampled_from((1, 3)), st.integers(8, 256))
-def test_offset_candidates_in_small_blocks_match_brute_force(profile, keep,
-                                                             block):
+@given(_profiles(), st.integers(8, 256))
+def test_offset_candidates_in_small_blocks_match_brute_force(profile, block):
     # a single-vector ranking spans several key blocks only for large
     # shifts; small blocks exercise the merge across blocks
     from starweyl import weylops
     t_shifts, mults, mu_c = profile
     with mock.patch.object(weylops, "_KEY_BLOCK", block):
-        got = weylops._offset_candidates(t_shifts, mults, mu_c, keep)
-    assert got == _reference_offset_candidates(t_shifts, mults, mu_c, keep)
+        got = weylops._ranked_offsets.__wrapped__(t_shifts, mults, mu_c)
+    assert list(got) == _reference_offset_candidates(t_shifts, mults, mu_c,
+                                                     weylops._PLANS)
 
 
 @pytest.mark.parametrize("name", AFFINE_TYPES)
