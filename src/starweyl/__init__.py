@@ -17,19 +17,19 @@ import importlib
 
 # the public names, by the submodule that defines them
 _SUBMODULES = {
-    "dynkin": ("AFFINE_TYPES", "AffineWeylElement", "CartanMatrix",
-               "ParamVector", "RootVector", "StarGraph", "cartan_matrix",
-               "enumerate_roots", "hyperplane_count", "is_regular",
-               "lattice_index", "reflect_param", "reflect_root",
-               "weight_lattice_basis", "weight_lattice_member"),
+    "dynkin": ("AFFINE_TYPES", "AffineWeylElement", "ParamVector",
+               "RootVector", "StarGraph", "enumerate_roots",
+               "hyperplane_count", "is_regular", "lattice_index",
+               "reflect_param", "reflect_root", "weight_lattice_basis",
+               "weight_lattice_member"),
     "errors": ("DegeneracyError", "InputFormatError", "StarweylError"),
     "fuchsian": ("FuchsianSystem", "OrbitSpec", "Signature", "is_irreducible",
                  "leg_from_orbit", "make_system", "normalize",
                  "orbit_from_leg", "sample_system", "signature"),
     "quiver": ("AlmostAffineQuiver", "DimensionVector", "IncrementedQuiver",
-               "QuiverRep", "dim_w", "expected_dim", "increment",
-               "moment_map", "orbit_dimension", "permute_params",
-               "project_params", "shift_params"),
+               "QuiverRep", "dim_w", "expected_dim", "moment_map",
+               "orbit_dimension", "permute_params", "project_params",
+               "shift_params"),
     "sakai": ("PicardLattice", "PointConfig", "chi", "cremona_reflect",
               "reflect_pic", "sakai_orbit", "swap_points", "wall_check"),
     "weylops": ("IncrementedPair", "apply_word", "central_reflection",

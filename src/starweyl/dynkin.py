@@ -123,7 +123,7 @@ class StarGraph:
         return None
 
     @cached_property
-    def cartan(self) -> "CartanMatrix":
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
         return _cartan(self.legs)
 
     @cached_property
@@ -146,56 +146,23 @@ class StarGraph:
         return f"StarGraph{self.legs}" + (f"<affine {t}>" if t else "")
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """C = 2*Id - A for the (simply laced) star graph."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    @cached_property
-    def det(self) -> int:
-        from .ratlin import det as _det
-        d = _det(mat([[Fraction(x) for x in row] for row in self.entries]))
-        assert d.denominator == 1
-        return int(d)
-
-
-def cartan_matrix(g: StarGraph) -> CartanMatrix:
-    n = g.node_count
-    a = [[0] * n for _ in range(n)]
-    for t, h in g.edges:
-        a[t][h] += 1
-        a[h][t] += 1
-    c = tuple(tuple((2 if i == j else 0) - a[i][j] for j in range(n))
-              for i in range(n))
-    return CartanMatrix(c)
-
-
 # Tables per leg signature: every StarGraph with the same legs (built by
 # StarGraph.affine, serialize.system_in or sakai.dynkin_graph) shares them.
 
 
 @functools.lru_cache(maxsize=64)
-def _cartan(legs: tuple[int, ...]) -> CartanMatrix:
-    return cartan_matrix(StarGraph(legs))
+def _cartan(legs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """C = 2*Id - A for the (simply laced) star graph, as int rows."""
+    nbrs = StarGraph(legs).neighbors
+    n = len(nbrs)
+    return tuple(tuple(2 if i == j else -1 if j in nbrs[i] else 0
+                       for j in range(n)) for i in range(n))
 
 
 @functools.lru_cache(maxsize=64)
 def _delta(legs: tuple[int, ...]) -> "RootVector":
     g = StarGraph(legs)
-    ker = nullspace(mat([[Fraction(x) for x in row]
-                         for row in g.cartan.entries]))
+    ker = nullspace(mat([[Fraction(x) for x in row] for row in g.cartan]))
     if len(ker) != 1:
         raise ValueError("graph is not of affine type: ker C is not a line")
     denom = math.lcm(*(x.denominator for x in ker[0]))
@@ -211,7 +178,7 @@ def _delta(legs: tuple[int, ...]) -> "RootVector":
 def finite_cartan(g: StarGraph) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix restricted to the non-extending nodes."""
     fin = g.finite_nodes
-    c = g.cartan.entries
+    c = g.cartan
     return tuple(tuple(c[i][j] for j in fin) for i in fin)
 
 
@@ -309,8 +276,8 @@ class ParamVector:
 
 def reflect_root(g: StarGraph, i: int, beta: RootVector) -> RootVector:
     """s_i(beta) = beta - (beta, e_i) e_i with (,) the Cartan form."""
-    c = g.cartan
-    pairing = sum(c[i, j] * beta[j] for j in range(g.node_count))
+    row = g.cartan[i]
+    pairing = sum(row[j] * beta[j] for j in range(g.node_count))
     coords = list(beta.coords)
     coords[i] -= pairing
     return RootVector(tuple(coords))
@@ -319,15 +286,15 @@ def reflect_root(g: StarGraph, i: int, beta: RootVector) -> RootVector:
 def root_form(g: StarGraph, beta: RootVector, gamma: RootVector) -> int:
     """(beta, gamma) = beta^T C gamma."""
     c = g.cartan
-    return sum(beta[i] * c[i, j] * gamma[j]
+    return sum(beta[i] * c[i][j] * gamma[j]
                for i in range(g.node_count) for j in range(g.node_count))
 
 
 def reflect_param(g: StarGraph, i: int, lam: ParamVector) -> ParamVector:
     """r_i(lam) = lam - lam_i * alpha_i."""
     li = lam[i]
-    row = g.cartan.row(i)
-    return ParamVector(tuple(v - li * c for v, c in zip(lam.values, row)))
+    return ParamVector(tuple(v - li * c
+                             for v, c in zip(lam.values, g.cartan[i])))
 
 
 def coxeter_exponent(g: StarGraph, i: int, j: int) -> int:
@@ -339,12 +306,6 @@ def coxeter_exponent(g: StarGraph, i: int, j: int) -> int:
 
 # ---------------------------------------------------------------------------
 # root enumeration (finite system living on the non-extending nodes)
-
-
-def _resolve_graph(type_or_graph) -> StarGraph:
-    if isinstance(type_or_graph, StarGraph):
-        return type_or_graph
-    return StarGraph.affine(type_or_graph)
 
 
 @dataclass(frozen=True)
@@ -395,27 +356,20 @@ def _root_matrix(legs: tuple[int, ...]) -> np.ndarray:
     return matrix
 
 
-def enumerate_roots(type_or_graph) -> tuple[RootVector, ...]:
+def enumerate_roots(g: StarGraph) -> tuple[RootVector, ...]:
     """All roots of the finite system, as coefficient vectors in the
     simple-root basis indexed by the non-extending nodes.
 
     Sorted in decreasing lexicographic order, so every positive root comes
     before every negative one.
     """
-    return _root_table(_resolve_graph(type_or_graph).legs).roots
+    return _root_table(g.legs).roots
 
 
-def positive_roots(type_or_graph) -> tuple[RootVector, ...]:
+def positive_roots(g: StarGraph) -> tuple[RootVector, ...]:
     """The first half of enumerate_roots: one root of each pair r, -r."""
-    roots = enumerate_roots(type_or_graph)
+    roots = enumerate_roots(g)
     return roots[:len(roots) // 2]
-
-
-def root_norm(g: StarGraph, root: RootVector) -> int:
-    """((root, root)) in the finite form; equals 2 for every root."""
-    c = finite_cartan(g)
-    r = len(c)
-    return sum(root[i] * c[i][j] * root[j] for i in range(r) for j in range(r))
 
 
 def root_pairing(root: RootVector, lam: ParamVector):
@@ -473,8 +427,8 @@ def is_regular(g: StarGraph, lam: ParamVector):
     return (len(violated) == 0, violated)
 
 
-def hyperplane_count(type_or_graph) -> int:
-    return len(positive_roots(type_or_graph))
+def hyperplane_count(g: StarGraph) -> int:
+    return len(positive_roots(g))
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +468,8 @@ def weight_lattice_basis(g: StarGraph) -> tuple[RootVector, ...]:
     return tuple(basis)
 
 
-def lattice_index(type_or_graph) -> int:
+def lattice_index(g: StarGraph) -> int:
     """[P(R):Q(R)] = product of the Smith diagonal of the finite Cartan."""
-    g = _resolve_graph(type_or_graph)
     return math.prod(smith_diagonal(finite_cartan(g)))
 
 

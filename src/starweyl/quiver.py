@@ -26,21 +26,13 @@ from .dynkin import ParamVector, RootVector, StarGraph
 from .ratlin import GaussianRational
 
 
-@dataclass(frozen=True)
-class DimensionVector:
-    coords: tuple[int, ...]
+class DimensionVector(RootVector):
+    """A RootVector with nonnegative entries."""
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coords)
-        if any(x < 0 for x in c):
+        super().__post_init__()
+        if any(x < 0 for x in self.coords):
             raise ValueError("dimensions must be nonnegative")
-        object.__setattr__(self, "coords", c)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __len__(self):
-        return len(self.coords)
 
     @classmethod
     def delta(cls, g: StarGraph) -> "DimensionVector":
@@ -100,7 +92,7 @@ def moment_trace_sum(mu: dict):
 
 def dim_w(g: StarGraph, dims) -> int:
     """dim W = 2 * sum over edges of n_tail * n_head."""
-    d = dims.coords if isinstance(dims, (DimensionVector, RootVector)) else tuple(dims)
+    d = dims.coords if isinstance(dims, RootVector) else tuple(dims)
     return 2 * sum(d[t] * d[h] for (t, h) in g.edges)
 
 
@@ -161,15 +153,6 @@ class AlmostAffineQuiver:
     def affine(cls, name: str) -> "AlmostAffineQuiver":
         g = StarGraph.affine(name)
         return cls(g, DimensionVector.delta(g))
-
-
-def is_almost_affine(g: StarGraph, dims) -> bool:
-    try:
-        AlmostAffineQuiver(g, dims if isinstance(dims, DimensionVector)
-                           else DimensionVector(tuple(dims)))
-        return True
-    except ValueError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -233,10 +216,6 @@ class IncrementedQuiver:
         return g.leg_nodes(leg)[pos - 1]
 
 
-def increment(q: AlmostAffineQuiver) -> IncrementedQuiver:
-    return IncrementedQuiver(q)
-
-
 def embed_params(inc: IncrementedQuiver, lam: ParamVector) -> ParamVector:
     """Parameters of Q+ whose projection is lam; the Q+ centre gets 0 (the
     canonical section of pr)."""
@@ -290,12 +269,6 @@ def permute_params(inc: IncrementedQuiver, lam: ParamVector) -> ParamVector:
     if len(full) >= 2:
         vals[full[1]] = vals[full[1]] + mu2
     return ParamVector(tuple(vals))
-
-
-def level(inc_or_dims, lam: ParamVector):
-    """lam . Delta for an (incremented) quiver or a raw dimension vector."""
-    dims = inc_or_dims.dims if hasattr(inc_or_dims, "dims") else inc_or_dims
-    return RootVector(tuple(dims)).dot(lam.values)
 
 
 # ---------------------------------------------------------------------------

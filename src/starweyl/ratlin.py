@@ -148,15 +148,13 @@ def mat(rows):
     return tuple(tuple(row) for row in rows)
 
 
-def identity(n, one=Fraction(1)):
-    zero = one - one
+def identity(n):
+    one, zero = Fraction(1), Fraction(0)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zeros(n, m=None):
-    m = n if m is None else m
-    z = Fraction(0)
-    return tuple(tuple(z for _ in range(m)) for _ in range(n))
+def zeros(n):
+    return ((Fraction(0),) * n,) * n
 
 
 def madd(a, b):

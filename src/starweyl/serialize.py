@@ -66,12 +66,20 @@ def matrix_out(a) -> list:
             for row in np.asarray(a, dtype=complex)]
 
 
+def _pair_in(x) -> complex:
+    """A complex float from an [re, im] pair of JSON numbers (no booleans)."""
+    if type(x) is not list or len(x) != 2 or \
+            not all(type(v) in (int, float) for v in x):
+        raise InputFormatError(f"expected an [re, im] pair of numbers, got {x!r}")
+    return complex(*x)
+
+
 def matrix_in(rows) -> np.ndarray:
     import numpy as np
     try:
-        return np.array([[complex(c[0], c[1]) for c in row] for row in rows],
+        return np.array([[_pair_in(c) for c in row] for row in rows],
                         dtype=complex)
-    except (TypeError, IndexError, OverflowError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise InputFormatError(f"malformed complex matrix: {exc}")
 
 
@@ -130,7 +138,7 @@ def system_in(doc) -> FuchsianSystem:
             raise InputFormatError(f"legs {list(legs)} are not an affine signature")
         graph = StarGraph(legs)
         n = graph.delta[graph.center]
-        poles = tuple(complex(p[0], p[1]) for p in doc["poles"])
+        poles = tuple(_pair_in(p) for p in doc["poles"])
         lam = lam_in(doc["lam"])
         if not isinstance(doc["offsets"], list):
             raise InputFormatError("offsets must be a list")

@@ -57,7 +57,6 @@ from .quiver import (
     DimensionVector,
     IncrementedQuiver,
     embed_params,
-    increment,
     permute_params,
     project_params,
     shift_params,
@@ -99,17 +98,10 @@ class IncrementedPair:
         for a in (self.p, self.q):
             np.asarray(a).setflags(write=False)
 
-    @property
-    def big_n(self) -> int:
-        return self.inc.big_n
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return self.inc.block_sizes
-
     def block_slices(self):
-        return [slice(end - s, end) for s, end in
-                zip(self.block_sizes, itertools.accumulate(self.block_sizes))]
+        sizes = self.inc.block_sizes
+        return [slice(end - s, end)
+                for s, end in zip(sizes, itertools.accumulate(sizes))]
 
     @property
     def b(self) -> np.ndarray:
@@ -118,11 +110,6 @@ class IncrementedPair:
     @property
     def qp(self) -> np.ndarray:
         return self.q @ self.p
-
-    def block_product(self, i: int) -> np.ndarray:
-        """Q_i P_i as an N x N matrix."""
-        sl = self.block_slices()[i]
-        return self.q[:, sl] @ self.p[sl, :]
 
     @functools.cached_property
     def breve_specs(self) -> tuple[OrbitSpec, ...]:
@@ -143,7 +130,7 @@ class IncrementedPair:
         """Orbit of QP: minus the shifted full-leg orbit."""
         g = self.inc.graph
         nodes = g.leg_nodes(self.inc.full_leg)
-        spec = orbit_from_leg(self.big_n, [self.inc.dims[k] for k in nodes],
+        spec = orbit_from_leg(self.inc.big_n, [self.inc.dims[k] for k in nodes],
                               [self.lam_plus[k] for k in nodes],
                               first=-self.lam_plus[g.center])
         return OrbitSpec(spec.size, tuple((-v, m) for v, m in spec.entries))
@@ -165,8 +152,8 @@ def lift(sys: FuchsianSystem) -> IncrementedPair:
     pair with Q_i P_i = diag(A_i, 0)."""
     if sys.normalization != "det_zero":
         raise ValueError("lift expects a determinant-zero normalised system")
-    base = AlmostAffineQuiver(sys.graph, DimensionVector.delta(sys.graph))
-    inc = increment(base)
+    inc = IncrementedQuiver(
+        AlmostAffineQuiver(sys.graph, DimensionVector.delta(sys.graph)))
     lam_plus = embed_params(inc, sys.lam)
     n = sys.n
     big = inc.big_n
@@ -194,8 +181,8 @@ def scalar_shift(pair: IncrementedPair, shift) -> IncrementedPair:
     """Middle-convolution shift: move to the GIT representative with
     Q = Id and replace B = PQ by B + shift."""
     lam_new = shift_params(pair.inc, pair.lam_plus, shift)
-    b = pair.b + _cx(shift) * np.eye(pair.big_n)
-    out = IncrementedPair(pair.inc, lam_new, b, np.eye(pair.big_n),
+    b = pair.b + _cx(shift) * np.eye(pair.inc.big_n)
+    out = IncrementedPair(pair.inc, lam_new, b, np.eye(pair.inc.big_n),
                           pair.poles, pair.tol)
     out.verify()
     return out
@@ -245,11 +232,9 @@ def project(pair: IncrementedPair) -> FuchsianSystem:
     von, _ = np.linalg.qr(others)
     basis = np.hstack([von, kernel])
     binv = np.linalg.inv(basis)
-    n_out = pair.big_n - 1
-    finite = []
-    for i in range(len(pair.block_sizes)):
-        compressed = (binv @ pair.block_product(i) @ basis)[:n_out, :n_out]
-        finite.append(compressed)
+    n_out = pair.inc.big_n - 1
+    finite = [(binv @ (pair.q[:, sl] @ pair.p[sl, :]) @ basis)[:n_out, :n_out]
+              for sl in pair.block_slices()]
     lam_out = project_params(pair.inc, pair.lam_plus)
     return make_system(pair.inc.base.graph, pair.poles, finite, lam_out,
                        tol=max(pair.tol, ORBIT_TOL))
@@ -635,10 +620,12 @@ def _move_sequence(specs, shifts):
 
 
 def _run_moves(sys0: FuchsianSystem, moves):
-    """Execute one plan's moves from sys0, returning the new finite
-    residues.  Raises DegeneracyError when a move fails or when the drift
-    of a state after a move exceeds DRIFT_GUARD or is NaN."""
+    """Execute one plan's moves from sys0, returning (the new finite
+    residues, the moved exact eigenvalue list of every pole).  Raises
+    DegeneracyError when a move fails or when the drift of a state after a
+    move exceeds DRIFT_GUARD or is NaN."""
     values = [list(spec.eigen_list()) for spec in sys0.specs]
+    keys = [spec.orbit_key[0] for spec in sys0.specs]  # _multiset of values
     finite = list(sys0.finite_residues)
     rng = np.random.default_rng(1)  # test points of the gauge checks
 
@@ -646,8 +633,7 @@ def _run_moves(sys0: FuchsianSystem, moves):
         # against the moved values; np.max, unlike max, keeps a NaN
         # distance wherever it sits
         return float(np.max(_char_poly_distances(
-            list(fin) + [closing_residue(fin, sys0.nu)],
-            [_multiset(v) for v in values])))
+            list(fin) + [closing_residue(fin, sys0.nu)], keys)))
 
     # guard the scaffolding states; the final tuple is additionally held to
     # the full tolerance after re-anchoring
@@ -656,6 +642,7 @@ def _run_moves(sys0: FuchsianSystem, moves):
                             pd, values[pd][cd], rng)
         values[pu][cu] += 1
         values[pd][cd] -= 1
+        keys[pu], keys[pd] = _multiset(values[pu]), _multiset(values[pd])
         err = worst_drift(finite)
         if err > POLISH_TRIGGER:
             # near-degenerate passages amplify the witness error; re-anchor
@@ -666,7 +653,7 @@ def _run_moves(sys0: FuchsianSystem, moves):
             err = worst_drift(finite)
         if not err <= DRIFT_GUARD:
             raise DegeneracyError(f"intermediate orbit drift {err:.2e}")
-    return finite
+    return finite, values
 
 
 def _polish_residues(finite, exact_values, nu):
@@ -739,12 +726,9 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     lam_new, plans = _plan_moves(sys0, mu)
     for shifts, consts in plans:
         offsets = tuple(Fraction(c) for c in consts)
-        target_values = [s.eigen_list()
-                         for s in predicted_specs(g, lam_new, offsets)]
         try:
-            finite = _polish_residues(
-                _run_moves(sys0, _move_sequence(sys0.specs, shifts)),
-                target_values, sys0.nu)
+            finite, values = _run_moves(sys0, _move_sequence(sys0.specs, shifts))
+            finite = _polish_residues(finite, values, sys0.nu)
             # verified once, after the det-zero shift (normalize verifies
             # what it shifts)
             out = sys0.with_residues(finite, lam=lam_new, offsets=offsets,

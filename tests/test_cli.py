@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import subprocess
@@ -30,6 +31,24 @@ def test_roots_counts():
     assert "24 roots / 12 hyperplanes" in out.stdout
     doc = json.loads(run_cli("roots", "--type", "E6", "--format", "json").stdout)
     assert doc["count"] == 72 and doc["hyperplanes"] == 36
+
+
+# sha256 of the `roots --format json` bytes: the root order and the
+# document layout are pinned, not only the counts
+_ROOTS_JSON_SHA256 = {
+    "D4": "031b088c264329313b483d97af1258dd8658ab2ad3fd0c0ae5f0a64cb675ddc5",
+    "E6": "76f62ca421f904d569fb2d35654477d4fe4df9178ad75332610edf6548b93b75",
+    "E7": "ed7424177642c662b57d94e513b49b26ab7f0c0a8d77f21af942393a33cf73be",
+    "E8": "c59d3230dd104382a976b396d06da292449330b40a191040202b69630ea9d45b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROOTS_JSON_SHA256))
+def test_roots_json_bytes(capsys, name):
+    from starweyl import cli
+    assert cli.main(["roots", "--type", name, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _ROOTS_JSON_SHA256[name]
 
 
 def test_sample_deterministic_bytes(tmp_path):
@@ -200,19 +219,19 @@ def test_package_roots_and_sakai_do_not_import_numpy():
 
 # the public names of the package, by the submodule that defines them
 _EXPORTS = {
-    "dynkin": ("AFFINE_TYPES", "AffineWeylElement", "CartanMatrix",
-               "ParamVector", "RootVector", "StarGraph", "cartan_matrix",
-               "enumerate_roots", "hyperplane_count", "is_regular",
-               "lattice_index", "reflect_param", "reflect_root",
-               "weight_lattice_basis", "weight_lattice_member"),
+    "dynkin": ("AFFINE_TYPES", "AffineWeylElement", "ParamVector",
+               "RootVector", "StarGraph", "enumerate_roots",
+               "hyperplane_count", "is_regular", "lattice_index",
+               "reflect_param", "reflect_root", "weight_lattice_basis",
+               "weight_lattice_member"),
     "errors": ("DegeneracyError", "InputFormatError", "StarweylError"),
     "fuchsian": ("FuchsianSystem", "OrbitSpec", "Signature", "is_irreducible",
                  "leg_from_orbit", "make_system", "normalize",
                  "orbit_from_leg", "sample_system", "signature"),
     "quiver": ("AlmostAffineQuiver", "DimensionVector", "IncrementedQuiver",
-               "QuiverRep", "dim_w", "expected_dim", "increment",
-               "moment_map", "orbit_dimension", "permute_params",
-               "project_params", "shift_params"),
+               "QuiverRep", "dim_w", "expected_dim", "moment_map",
+               "orbit_dimension", "permute_params", "project_params",
+               "shift_params"),
     "sakai": ("PicardLattice", "PointConfig", "chi", "cremona_reflect",
               "reflect_pic", "sakai_orbit", "swap_points", "wall_check"),
     "weylops": ("IncrementedPair", "apply_word", "central_reflection",
@@ -227,7 +246,7 @@ def test_package_exports_resolve_lazily():
 
     import starweyl
     names = [n for names in _EXPORTS.values() for n in names]
-    assert len(names) == 59
+    assert len(names) == 56
     assert sorted(starweyl.__all__) == sorted(names + ["__version__"])
     for module, exported in _EXPORTS.items():
         mod = importlib.import_module(f"starweyl.{module}")
@@ -253,6 +272,16 @@ _SIX_POINTS = {"schema": serialize.CONFIG_SCHEMA,
                "points": ["1", "2", "3", "5", "7", "11"]}
 _NAN = float("nan")
 _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+def _set_first(field, change):
+    """A mutation of a system document: change applied to its first pole
+    (field "poles") or to the first entry of its first residue."""
+    def mutate(doc):
+        row = doc["poles"] if field == "poles" else doc["residues"][0][0]
+        row[0] = change(row[0])
+        return doc
+    return mutate
 
 
 @pytest.mark.parametrize("kind, doc", [
@@ -315,6 +344,10 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     ("system", {"lam": {"schema": serialize.LAM_SCHEMA,
                         "values": [0.5, -0.25, -0.25, -0.25, -0.25]}}),
     ("system", {"offsets": [0.0] * 4}),
+    ("system", _set_first("poles", lambda z: z + [99.0])),
+    ("system", _set_first("poles", lambda z: [False, False])),
+    ("system", _set_first("residues", lambda z: z + ["junk"])),
+    ("system", _set_first("residues", lambda z: [True, 0.0])),
     ("sample", "-1"),
     ("sample", "0"),
     ("sample", "1e300"),
@@ -345,6 +378,8 @@ _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         "negative-tol", "zero-tol", "huge-tol", "boolean-tol", "string-tol",
         "orbit-string-tol",
         "float-lam", "float-offsets",
+        "three-entry-pole", "boolean-pole", "three-entry-residue",
+        "boolean-residue",
         "sample-negative-tol", "sample-zero-tol", "sample-huge-tol",
         "sample-negative-seed",
         "orbit-zero-sig-len", "orbit-negative-sig-len", "orbit-huge-sig-len",
@@ -359,7 +394,8 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
         doc = {} if kind == "orbit" else _SIX_POINTS
     path = tmp_path / f"{kind}.json"
     if kind in ("system", "orbit"):
-        doc = {**_d4_document(), **doc}
+        doc = doc(copy.deepcopy(_d4_document())) if callable(doc) \
+            else {**_d4_document(), **doc}
     path.write_text(json.dumps(doc))
     if kind in ("word", "system"):
         word = tmp_path / "leg1.json"

@@ -28,7 +28,7 @@ from starweyl.fuchsian import (
     sample_system,
     signature,
 )
-from starweyl.quiver import AlmostAffineQuiver, increment
+from starweyl.quiver import AlmostAffineQuiver, IncrementedQuiver
 from starweyl.tolerances import MINPOLY_TOL, ORBIT_TOL
 from starweyl.weylops import (
     IncrementedPair,
@@ -48,7 +48,7 @@ from starweyl.weylops import (
 
 def block_signature(pair, length=3):
     import itertools
-    mats = [pair.block_product(i) for i in range(len(pair.block_sizes))]
+    mats = [pair.q[:, sl] @ pair.p[sl, :] for sl in pair.block_slices()]
     vals = []
     for l in range(1, length + 1):
         for w in itertools.product(range(len(mats)), repeat=l):
@@ -63,8 +63,8 @@ def block_signature(pair, length=3):
 def test_lift_block_structure(name):
     sysm, lam = sample_system(name, seed=2)
     pair = lift(sysm)
-    n_big = pair.big_n
-    assert sum(pair.block_sizes) == n_big
+    n_big = pair.inc.big_n
+    assert sum(pair.inc.block_sizes) == n_big
     # QP = diag(sum of finite residues, 0)
     qp = pair.qp
     top = sum(sysm.finite_residues)
@@ -145,7 +145,7 @@ def test_relabel_first_two_verifies_where_the_keys_differ(monkeypatch):
 
 def test_project_requires_simple_zero():
     # engineered wall: the big-orbit spectrum acquires a double zero
-    inc = increment(AlmostAffineQuiver.affine("D4"))
+    inc = IncrementedQuiver(AlmostAffineQuiver.affine("D4"))
     g = inc.graph
     vals = [F(0)] * g.node_count
     full = g.leg_nodes(inc.full_leg)
@@ -153,8 +153,7 @@ def test_project_requires_simple_zero():
     legs = [g.leg_nodes(j)[0] for j in range(3)]
     vals[legs[2]] = F(-1)
     lam_plus = ParamVector(tuple(vals))
-    from starweyl.quiver import level
-    assert level(inc, lam_plus) == 0
+    assert lam_plus.level(inc.dims) == 0
     pair = IncrementedPair(inc, lam_plus, np.zeros((3, 3), dtype=complex),
                            np.eye(3), (0.0, -1.0, 1.0))
     with pytest.raises(DegeneracyError):
