@@ -4,9 +4,9 @@ Subcommands: roots, regular, sample, apply, orbit, sakai.  All randomness
 is seeded, logs go to stderr, data to stdout or --out.  Exit codes:
 0 ok, 2 input error, 3 degeneracy or wall error.
 
-The matrix modules (fuchsian, weylops, and numpy with them) are imported
-by the subcommands that call them, so roots and sakai run on the exact
-modules alone.
+The matrix modules (fuchsian, weylops, and numpy with them) and sakai are
+imported by the subcommands that call them: roots, regular and sakai run
+without numpy, and only the sakai subcommand loads the sakai module.
 """
 
 from __future__ import annotations

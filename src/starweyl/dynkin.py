@@ -13,7 +13,9 @@ last (longest) leg, i.e. the node with the highest index.
 Simple reflections act on integer root vectors by s_i(b) = b - (b, e_i) e_i
 and dually on parameter vectors by r_i(lam) = lam - lam_i * alpha_i, where
 alpha_i is the i-th row of the Cartan matrix read as an element of C^I.
-Both are implemented exactly (Fraction / GaussianRational entries).
+Both are implemented exactly (Fraction / GaussianRational entries), and
+the root pairings in Python integers: the module needs nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
@@ -24,12 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .ratlin import GaussianRational, mat, nullspace, smith_diagonal
-
-if TYPE_CHECKING:
-    import numpy as np
 
 AFFINE_LEGS = {
     "D4": (1, 1, 1, 1),
@@ -215,6 +213,16 @@ class RootVector:
         return acc
 
 
+def _integer_parts(values) -> tuple[list, int]:
+    """(ints, den): ints[k] is the (re, im) pair of Python ints equal to
+    values[k] times den, the common denominator of every part."""
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+             for v in values]
+    den = math.lcm(*(x.denominator for pair in parts for x in pair))
+    return [(re.numerator * (den // re.denominator),
+             im.numerator * (den // im.denominator)) for re, im in parts], den
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """Parameter vector lam over a node index set, exact by construction.
@@ -255,7 +263,9 @@ class ParamVector:
         return delta.dot(self.values)
 
     def is_level_zero(self, delta: RootVector) -> bool:
-        return self.level(delta) == 0
+        """level(delta) == 0, in integers over the common denominator."""
+        ints, _ = _integer_parts(self.values)
+        return all(delta.dot(part) == 0 for part in zip(*ints))
 
     def replace(self, i: int, value) -> "ParamVector":
         vals = list(self.values)
@@ -308,18 +318,10 @@ def coxeter_exponent(g: StarGraph, i: int, j: int) -> int:
 # root enumeration (finite system living on the non-extending nodes)
 
 
-@dataclass(frozen=True)
-class RootTable:
-    """The finite roots of one leg signature, built once per process."""
-
-    roots: tuple[RootVector, ...]   # enumerate_roots order, positives first
-    weight: int                     # largest sum of |coefficients| of a root
-
-
 @functools.lru_cache(maxsize=64)
-def _root_table(legs: tuple[int, ...]) -> RootTable:
+def _root_table(legs: tuple[int, ...]) -> tuple[RootVector, ...]:
     """Breadth-first closure of the simple roots under the simple
-    reflections, with no data special to a type."""
+    reflections, with no data special to a type; in enumerate_roots order."""
     c = finite_cartan(StarGraph(legs))
     r = len(c)
     simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
@@ -337,23 +339,29 @@ def _root_table(legs: tuple[int, ...]) -> RootTable:
                     seen.add(refl)
                     nxt.append(refl)
         frontier = nxt
-    roots = sorted(seen, reverse=True)
-    return RootTable(tuple(RootVector(v) for v in roots),
-                     max(sum(map(abs, v)) for v in roots))
+    return tuple(RootVector(v) for v in sorted(seen, reverse=True))
 
 
 @functools.lru_cache(maxsize=64)
-def _root_matrix(legs: tuple[int, ...]) -> np.ndarray:
-    """The roots of _root_table as the rows of a read-only int64 matrix.
-
-    numpy is loaded here and in root_pairings only: the root closure, the
-    Cartan data and the weight lattice need nothing beyond the language.
-    """
-    import numpy as np
-    matrix = np.array([r.coords for r in _root_table(legs).roots],
-                      dtype=np.int64)
-    matrix.setflags(write=False)
-    return matrix
+def _root_steps(legs: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(root, parent, node) for every positive root, parents first: root
+    k is root parent plus the simple root of node, and a simple root has
+    parent -1.  Every positive root that is not simple is a positive root
+    plus a simple one, and that root comes later in the decreasing order,
+    so the walk runs from the last positive root to the first."""
+    roots = _root_table(legs)
+    half = len(roots) // 2
+    index = {r.coords: k for k, r in enumerate(roots[:half])}
+    index[(0,) * len(roots[0])] = -1
+    steps = []
+    for k in reversed(range(half)):
+        c = roots[k].coords
+        for node in range(len(c)):
+            lower = c[:node] + (c[node] - 1,) + c[node + 1:]
+            if lower in index:
+                steps.append((k, index[lower], node))
+                break
+    return tuple(steps)
 
 
 def enumerate_roots(g: StarGraph) -> tuple[RootVector, ...]:
@@ -363,7 +371,7 @@ def enumerate_roots(g: StarGraph) -> tuple[RootVector, ...]:
     Sorted in decreasing lexicographic order, so every positive root comes
     before every negative one.
     """
-    return _root_table(g.legs).roots
+    return _root_table(g.legs)
 
 
 def positive_roots(g: StarGraph) -> tuple[RootVector, ...]:
@@ -381,26 +389,25 @@ def root_pairing(root: RootVector, lam: ParamVector):
     return sum((c * lam[i] for i, c in enumerate(root.coords)), Fraction(0))
 
 
-def root_pairings(g: StarGraph, lam: ParamVector) -> tuple[np.ndarray, int]:
-    """((lam, root)) for every root of enumerate_roots(g), exactly, as one
-    integer matrix product.
+def root_pairings(g: StarGraph, lam: ParamVector) -> tuple[list, int]:
+    """((lam, root)) for every root of enumerate_roots(g), exactly, in
+    integer arithmetic.
 
-    Returns (num, den): row k of num holds the integer real and imaginary
-    parts of the k-th pairing times den, the common denominator of the
-    finite entries of lam.  num is int64 when no product or sum can
-    overflow it and holds Python ints (dtype object) otherwise.
+    Returns (num, den): num[k] is the (re, im) pair of Python ints equal
+    to the k-th pairing times den, the common denominator of the finite
+    entries of lam.  Each positive pairing is its parent's plus one entry
+    of lam (_root_steps); the negative half is the positive half reversed
+    and negated.
     """
-    import numpy as np
-    matrix = _root_matrix(g.legs)
-    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
-             for v in lam.values[:matrix.shape[1]]]
-    den = math.lcm(*(x.denominator for pair in parts for x in pair))
-    ints = [[x.numerator * (den // x.denominator) for x in pair]
-            for pair in parts]
-    if _root_table(g.legs).weight * max(abs(x) for pair in ints
-                                        for x in pair) < 2 ** 63:
-        return matrix @ np.array(ints, dtype=np.int64), den
-    return matrix.astype(object) @ np.array(ints, dtype=object), den
+    steps = _root_steps(g.legs)
+    ints, den = _integer_parts(lam.values[:g.node_count - 1])
+    pos = [(0, 0)] * (len(steps) + 1)  # pos[-1], the parent of a simple root
+    for k, parent, node in steps:
+        re, im = pos[parent]
+        a, b = ints[node]
+        pos[k] = (re + a, im + b)
+    pos.pop()
+    return pos + [(-re, -im) for re, im in reversed(pos)], den
 
 
 def smallest_root_pairing(g: StarGraph, lam: ParamVector) -> float:
@@ -412,9 +419,9 @@ def smallest_root_pairing(g: StarGraph, lam: ParamVector) -> float:
     """
     num, den = root_pairings(g, lam)
     pos = num[:len(num) // 2]
-    if (pos[:, 1] == 0).all():
-        return int(abs(pos[:, 0]).min()) / den
-    return min(abs(complex(int(re) / den, int(im) / den)) for re, im in pos)
+    if not any(im for _, im in pos):
+        return min(abs(re) for re, _ in pos) / den
+    return min(abs(complex(re / den, im / den)) for re, im in pos)
 
 
 def is_regular(g: StarGraph, lam: ParamVector):
@@ -422,8 +429,8 @@ def is_regular(g: StarGraph, lam: ParamVector):
     if not lam.is_level_zero(g.delta):
         raise ValueError("is_regular expects a level-zero parameter vector")
     num, _ = root_pairings(g, lam)
-    zero = (num == 0).all(axis=1)
-    violated = tuple(r for r, z in zip(enumerate_roots(g), zero) if z)
+    violated = tuple(r for r, p in zip(enumerate_roots(g), num)
+                     if p == (0, 0))
     return (len(violated) == 0, violated)
 
 

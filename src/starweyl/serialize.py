@@ -9,7 +9,8 @@ round-trip form).  Readers raise InputFormatError on malformed input.
 
 Only the matrix and system readers and writers load numpy and the
 matrix modules, so the exact formats (lam, config, word, tolerances),
-the orbit CSV and the JSON layer run on the standard library.
+the orbit CSV and the JSON layer run on the standard library.  Only the
+config reader loads sakai.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from typing import TYPE_CHECKING
 from .dynkin import AFFINE_LEGS, ParamVector, StarGraph
 from .errors import InputFormatError
 from .ratlin import GaussianRational, format_rational, parse_rational
-from .sakai import PointConfig
 from .tolerances import DEFAULT_TOL, MAX_TOL, SUM_TOL
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .fuchsian import FuchsianSystem
+    from .sakai import PointConfig
 
 SYSTEM_SCHEMA = "starweyl/system-v1"
 CONFIG_SCHEMA = "starweyl/config-v1"
@@ -184,6 +185,7 @@ def config_out(p: PointConfig) -> dict:
 
 
 def config_in(doc) -> PointConfig:
+    from .sakai import PointConfig
     if not isinstance(doc, dict) or doc.get("schema") != CONFIG_SCHEMA:
         raise InputFormatError(f"expected a {CONFIG_SCHEMA} document")
     if not isinstance(doc.get("points"), list):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -627,7 +628,7 @@ def _run_moves(sys0: FuchsianSystem, moves):
     values = [list(spec.eigen_list()) for spec in sys0.specs]
     keys = [spec.orbit_key[0] for spec in sys0.specs]  # _multiset of values
     finite = list(sys0.finite_residues)
-    rng = np.random.default_rng(1)  # test points of the gauge checks
+    rng = random.Random(1)  # test points of the gauge checks
 
     def worst_drift(fin):
         # against the moved values; np.max, unlike max, keeps a NaN

@@ -51,6 +51,40 @@ def test_roots_json_bytes(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == _ROOTS_JSON_SHA256[name]
 
 
+# level-zero lams on root hyperplanes, one of them over Q(i), and the
+# sha256 of their `regular` report bytes (digests taken before the
+# pairing kernel moved off numpy): the violated roots and their order are
+# pinned
+_REGULAR_WALL_LAMS = {
+    "D4": ["1", "-1", "1/2", "-1/2", "-1"],
+    "E6": ["0", "1/3", "-1/3", "2", "-1", "5/2", "-25/3"],
+    "E7": ["1/2+1i", "-1/2-1i", "0", "1", "-1", "3/7", "-3/7", "-17/7-2i"],
+    "E8": ["0", "1", "-1", "2/5", "-2/5", "3", "0", "-3", "-19/5"],
+}
+_REGULAR_JSON_SHA256 = {
+    "D4": "d7421bbd245aa6452046b03c14176baa6708b1029147b6d12b1a744b1e2bb7fa",
+    "E6": "d334e6a983ea4792a9034dd52b0755ba7b813ca2f4acb674b2ce970fba715a23",
+    "E7": "a235cdfbd03dc99cecb4d29cf699b7c0133deca94312a977e696b0e0a47f47c1",
+    "E8": "c9122c3998d6405079b7966db3992a981569ad858a057b188f5cbda65cb6956b",
+}
+
+
+def _write_lam(path, values):
+    path.write_text(json.dumps({"schema": serialize.LAM_SCHEMA,
+                                "values": values}))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(_REGULAR_JSON_SHA256))
+def test_regular_json_bytes(capsys, tmp_path, name):
+    from starweyl import cli
+    lam_file = _write_lam(tmp_path / "lam.json", _REGULAR_WALL_LAMS[name])
+    assert cli.main(["regular", "--type", name, "--lam-file", lam_file]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["regular"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == _REGULAR_JSON_SHA256[name]
+
+
 def test_sample_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     ra = run_cli("sample", "--type", "E6", "--seed", "9", "--out", str(a))
@@ -194,27 +228,57 @@ _GOLDEN_SAKAI = ["sakai", "--config",
                  "--mu", "[1,0,-2,0,1,0,0,3]", "--steps", "30"]
 
 
-def _imports_numpy(code):
-    """Whether numpy is loaded after running code in a fresh interpreter."""
-    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
-                          "print('numpy' in sys.modules)"],
+def _loaded(code, modules=("numpy",)):
+    """Which of modules are loaded after running code in a fresh
+    interpreter."""
+    out = subprocess.run([sys.executable, "-c", code + "\nimport json, sys\n"
+                          f"print(json.dumps([m for m in {modules!r} "
+                          "if m in sys.modules]))"],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return out.stdout.splitlines()[-1] == "True"
+    return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_package_roots_and_sakai_do_not_import_numpy():
-    assert not _imports_numpy("import starweyl")
-    assert not _imports_numpy("import starweyl.quiver")
-    commands = [["roots", "--type", "E8"], _GOLDEN_SAKAI]
+def _imports_numpy(code):
+    """Whether numpy is loaded after running code in a fresh interpreter."""
+    return _loaded(code) == ["numpy"]
+
+
+def _run_main(commands, absent):
+    """Code running each cli command in turn and asserting, after each,
+    that no module named in absent is loaded."""
     code = "import contextlib, io, sys\nfrom starweyl.cli import main\n"
     for k, argv in enumerate(commands):
         code += (f"with contextlib.redirect_stdout(io.StringIO()):\n"
                  f"    assert main({argv!r}) == 0\n"
-                 f"assert 'numpy' not in sys.modules, {k}\n")
-    assert not _imports_numpy(code)
+                 f"assert not [m for m in {absent!r} if m in sys.modules], {k}\n")
+    return code
+
+
+def test_package_roots_and_sakai_do_not_import_numpy(tmp_path):
+    assert not _imports_numpy("import starweyl")
+    assert not _imports_numpy("import starweyl.quiver")
+    regular = _write_lam(tmp_path / "regular.json",
+                         ["1", "2", "3", "5", "-12"])
+    wall = _write_lam(tmp_path / "wall.json", _REGULAR_WALL_LAMS["E8"])
+    exact = [["roots", "--type", "E8"],
+             ["regular", "--type", "D4", "--lam-file", regular],
+             ["regular", "--type", "E8", "--lam-file", wall]]
+    # roots and regular load neither numpy nor sakai
+    assert not _imports_numpy(_run_main(exact, ("numpy", "starweyl.sakai")))
+    assert not _imports_numpy(_run_main([_GOLDEN_SAKAI], ("numpy",)))
     # the probe sees numpy once a matrix module is loaded
     assert _imports_numpy("import starweyl\nstarweyl.translate")
+
+
+def test_orbit_does_not_import_numpy_random(tmp_path):
+    sysfile = tmp_path / "sys.json"
+    assert run_cli("sample", "--type", "D4", "--seed", "4", "--out",
+                   str(sysfile)).returncode == 0
+    argv = ["orbit", "--system", str(sysfile), "--mu", "[0, 1, 0, 0, -1]",
+            "--steps", "2"]
+    assert _loaded(_run_main([argv], ("numpy.random", "starweyl.sakai")),
+                   ("numpy", "numpy.random")) == ["numpy"]
 
 
 # the public names of the package, by the submodule that defines them

@@ -159,7 +159,7 @@ def test_root_enumeration_counts_and_norms(name):
 
 
 # small entries put lam on root hyperplanes often; denominators near 10**30
-# push the pairing kernel onto its Python-int path
+# take the pairings past int64
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _HUGE = st.builds(F, st.integers(-10 ** 31, 10 ** 31),
                   st.integers(10 ** 29, 10 ** 31))
@@ -190,9 +190,10 @@ def test_root_pairings_match_the_single_root_reference(case):
     roots = enumerate_roots(g)
     exact = [root_pairing(r, lam) for r in roots]
     num, den = root_pairings(g, lam)
-    assert num.shape == (len(roots), 2)
-    for (re, im), p in zip(num, exact):
-        assert (F(int(re), den), F(int(im), den)) == _parts(p)
+    assert len(num) == len(roots)
+    for pair, p in zip(num, exact):
+        assert all(type(x) is int for x in pair) and len(pair) == 2
+        assert (F(pair[0], den), F(pair[1], den)) == _parts(p)
     flag, violated = is_regular(g, lam)
     want = tuple(r for r, p in zip(roots, exact) if p == 0)
     assert violated == want and flag == (not want)
@@ -200,18 +201,33 @@ def test_root_pairings_match_the_single_root_reference(case):
         abs(to_complex(root_pairing(r, lam))) for r in positive_roots(g))
 
 
-def test_root_pairings_switch_to_python_ints_past_int64():
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["Q", "Qi"]).flatmap(_level_zero),
+       _RATIONAL | _GAUSSIAN, st.integers(0, 8))
+def test_is_level_zero_matches_the_exact_level(case, shift, node):
+    # every delta_i is positive: a shift at one node moves lam off level
+    # zero unless it is 0
+    g, lam = case
+    node %= g.node_count
+    moved = lam.replace(node, lam[node] + shift)
+    for v in (lam, moved):
+        assert v.is_level_zero(g.delta) == (v.level(g.delta) == 0)
+    assert lam.is_level_zero(g.delta)
+    assert moved.is_level_zero(g.delta) == (shift == 0)
+
+
+def test_root_pairings_stay_exact_past_int64():
     g = StarGraph.affine("E8")
     small = rand_level_zero(g, random.Random(29))
-    assert root_pairings(g, small)[0].dtype == "int64"
     eps = F(1, 10 ** 30 + 7)
     huge = small.replace(1, small[1] + eps).replace(
         g.extending, small[g.extending] - g.delta[1] * eps)
     assert huge.is_level_zero(g.delta)
     num, den = root_pairings(g, huge)
-    assert num.dtype == object and den > 2 ** 63
-    assert [F(int(x), den) for x in num[:, 0]] == \
+    assert den > 2 ** 63 and max(abs(re) for re, _ in num) > 2 ** 63
+    assert [F(re, den) for re, _ in num] == \
         [root_pairing(r, huge) for r in enumerate_roots(g)]
+    assert all(im == 0 for _, im in num)
 
 
 # lam that random_regular_lam drew when it scored each root with
