@@ -21,7 +21,6 @@ standard library.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,49 +318,34 @@ def coxeter_exponent(g: StarGraph, i: int, j: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _root_table(legs: tuple[int, ...]) -> tuple[RootVector, ...]:
-    """Breadth-first closure of the simple roots under the simple
-    reflections, with no data special to a type; in enumerate_roots order."""
+def _root_table(legs: tuple[int, ...]):
+    """(roots, steps) of the finite system, with no data special to a type.
+
+    The positive roots grow from the simple ones: in a simply laced
+    system a positive root b plus a simple root e_i is a root exactly
+    when (b, e_i) = -1.  roots is in enumerate_roots order (the positive
+    roots decreasing, then the same reversed and negated).  steps holds
+    (root, parent, node) for every positive root, parents first: root k
+    is root parent plus the simple root of node, and a simple root has
+    parent -1."""
     c = finite_cartan(StarGraph(legs))
     r = len(c)
-    simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i in range(r):
-                pairing = sum(c[i][j] * root[j] for j in range(r))
-                refl = list(root)
-                refl[i] -= pairing
-                refl = tuple(refl)
-                if refl not in seen:
-                    seen.add(refl)
-                    nxt.append(refl)
-        frontier = nxt
-    return tuple(RootVector(v) for v in sorted(seen, reverse=True))
-
-
-@functools.lru_cache(maxsize=64)
-def _root_steps(legs: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """(root, parent, node) for every positive root, parents first: root
-    k is root parent plus the simple root of node, and a simple root has
-    parent -1.  Every positive root that is not simple is a positive root
-    plus a simple one, and that root comes later in the decreasing order,
-    so the walk runs from the last positive root to the first."""
-    roots = _root_table(legs)
-    half = len(roots) // 2
-    index = {r.coords: k for k, r in enumerate(roots[:half])}
-    index[(0,) * len(roots[0])] = -1
-    steps = []
-    for k in reversed(range(half)):
-        c = roots[k].coords
-        for node in range(len(c)):
-            lower = c[:node] + (c[node] - 1,) + c[node + 1:]
-            if lower in index:
-                steps.append((k, index[lower], node))
-                break
-    return tuple(steps)
+    found = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    grown = {root: (None, i) for i, root in enumerate(found)}
+    for root in found:  # grows while it is walked, in order of height
+        for i in range(r):
+            if sum(c[i][j] * root[j] for j in range(r)) == -1:
+                up = root[:i] + (root[i] + 1,) + root[i + 1:]
+                if up not in grown:
+                    grown[up] = (root, i)
+                    found.append(up)
+    pos = sorted(found, reverse=True)
+    index = {root: k for k, root in enumerate(pos)}
+    index[None] = -1
+    steps = tuple((index[root], index[grown[root][0]], grown[root][1])
+                  for root in found)
+    roots = pos + [tuple(-x for x in root) for root in reversed(pos)]
+    return tuple(RootVector(v) for v in roots), steps
 
 
 def enumerate_roots(g: StarGraph) -> tuple[RootVector, ...]:
@@ -371,7 +355,7 @@ def enumerate_roots(g: StarGraph) -> tuple[RootVector, ...]:
     Sorted in decreasing lexicographic order, so every positive root comes
     before every negative one.
     """
-    return _root_table(g.legs)
+    return _root_table(g.legs)[0]
 
 
 def positive_roots(g: StarGraph) -> tuple[RootVector, ...]:
@@ -396,10 +380,10 @@ def root_pairings(g: StarGraph, lam: ParamVector) -> tuple[list, int]:
     Returns (num, den): num[k] is the (re, im) pair of Python ints equal
     to the k-th pairing times den, the common denominator of the finite
     entries of lam.  Each positive pairing is its parent's plus one entry
-    of lam (_root_steps); the negative half is the positive half reversed
+    of lam (_root_table); the negative half is the positive half reversed
     and negated.
     """
-    steps = _root_steps(g.legs)
+    steps = _root_table(g.legs)[1]
     ints, den = _integer_parts(lam.values[:g.node_count - 1])
     pos = [(0, 0)] * (len(steps) + 1)  # pos[-1], the parent of a simple root
     for k, parent, node in steps:
@@ -517,16 +501,14 @@ def apply_affine(g: StarGraph, elt: AffineWeylElement, lam: ParamVector) -> Para
     return out
 
 
-def weyl_orbit(g: StarGraph, lam: ParamVector, nodes=None):
-    """Orbit of lam under the reflections r_i for i in nodes (exact BFS)."""
-    if nodes is None:
-        nodes = g.finite_nodes
+def weyl_orbit(g: StarGraph, lam: ParamVector):
+    """Orbit of lam under the finite reflections r_i (exact BFS)."""
     seen = {lam.values}
     frontier = [lam]
     while frontier:
         nxt = []
         for v in frontier:
-            for i in nodes:
+            for i in g.finite_nodes:
                 w = reflect_param(g, i, v)
                 if w.values not in seen:
                     seen.add(w.values)
@@ -538,20 +520,7 @@ def weyl_orbit(g: StarGraph, lam: ParamVector, nodes=None):
 
 
 # ---------------------------------------------------------------------------
-# experimental: diagram automorphisms exposed as parameter permutations
-
-
-def leg_permutations(g: StarGraph) -> tuple[tuple[int, ...], ...]:
-    """Permutations of equal-length legs (diagram automorphisms fixing the
-    centre), as node permutations.  Experimental: only the induced
-    parameter permutation is exposed, no sphere automorphism."""
-    groups = {}
-    for j, l in enumerate(g.legs):
-        groups.setdefault(l, []).append(j)
-    pools = [list(itertools.permutations(js)) for js in groups.values()]
-    legs = list(itertools.chain(*groups.values()))
-    return tuple(leg_node_permutation(g, zip(legs, itertools.chain(*combo)))
-                 for combo in itertools.product(*pools))
+# diagram automorphisms exposed as parameter permutations
 
 
 def leg_node_permutation(g: StarGraph, leg_pairs) -> tuple[int, ...]:

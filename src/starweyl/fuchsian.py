@@ -123,14 +123,11 @@ def orbit_from_leg(n: int, leg_dims, leg_params, first=Fraction(0)) -> OrbitSpec
     val = first
     for j in range(len(dims) - 1):
         mult = dims[j] - dims[j + 1]
-        if mult < 0:
-            raise ValueError("leg dimensions must strictly decrease")
-        if mult > 0:
-            if entries and entries[-1][0] == val:
-                # vanishing leg parameters collapse flag steps (closures)
-                entries[-1] = (val, entries[-1][1] + mult)
-            else:
-                entries.append((val, mult))
+        if entries and entries[-1][0] == val:
+            # vanishing leg parameters collapse flag steps (closures)
+            entries[-1] = (val, entries[-1][1] + mult)
+        else:
+            entries.append((val, mult))
         if j < len(leg_params):
             val = val - leg_params[j]
     return OrbitSpec(n, tuple(entries))

@@ -314,14 +314,8 @@ def leg_chain_rep(dims, lam_values, seed=0) -> QuiverRep:
             target = ratlin.mscale(-lam[j - 1], ratlin.identity(d_out))
         else:
             target = ratlin.msub(s, ratlin.mscale(lam[j - 1], ratlin.identity(d_out)))
-        while True:
-            f = _random_full_rank(d_in, d_out, rng)
-            try:
-                pinv = ratlin.left_pseudo_inverse(f)
-            except ZeroDivisionError:
-                continue
-            break
-        b = ratlin.mmul(target, pinv)
+        f = _random_full_rank(d_in, d_out, rng)
+        b = ratlin.mmul(target, ratlin.left_pseudo_inverse(f))
         edge = (g.leg_nodes(0)[j - 1], g.center if j == 1 else g.leg_nodes(0)[j - 2])
         phi[edge] = f
         phi_star[edge] = b

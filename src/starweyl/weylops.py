@@ -105,10 +105,6 @@ class IncrementedPair:
                 for s, end in zip(sizes, itertools.accumulate(sizes))]
 
     @property
-    def b(self) -> np.ndarray:
-        return self.p @ self.q
-
-    @property
     def qp(self) -> np.ndarray:
         return self.q @ self.p
 
@@ -182,7 +178,7 @@ def scalar_shift(pair: IncrementedPair, shift) -> IncrementedPair:
     """Middle-convolution shift: move to the GIT representative with
     Q = Id and replace B = PQ by B + shift."""
     lam_new = shift_params(pair.inc, pair.lam_plus, shift)
-    b = pair.b + _cx(shift) * np.eye(pair.inc.big_n)
+    b = pair.p @ pair.q + _cx(shift) * np.eye(pair.inc.big_n)
     out = IncrementedPair(pair.inc, lam_new, b, np.eye(pair.inc.big_n),
                           pair.poles, pair.tol)
     out.verify()
@@ -499,10 +495,8 @@ def _move_profile(g: StarGraph, coords):
         acc = 0
         for j, node in enumerate(nodes):
             acc -= full[node]
-            mult = dims[j + 1] - dims[j + 2]
-            if mult > 0:
-                t_row.append(acc)
-                m_row.append(mult)
+            t_row.append(acc)
+            m_row.append(dims[j + 1] - dims[j + 2])
         t_shifts.append(t_row)
         mults.append(m_row)
     return mu_c, t_shifts, mults
@@ -578,24 +572,36 @@ def _plan_moves(sys: FuchsianSystem, mu: ParamVector):
     return lam_new, plans
 
 
-def _move_sequence(specs, shifts):
-    """The elementary moves of one plan, from the exact bookkeeping alone.
+def _run_moves(sys0: FuchsianSystem, shifts):
+    """Run one plan from sys0, choosing each elementary move from the exact
+    bookkeeping and executing it at once.
 
     shifts holds the integer shift of every eigenvalue copy of each pole,
     in spec.eigen_list() order; every copy is a slot of its own.  Pending
-    moves pair in lexicographic slot order.  Returns the moves as (up
-    pole, up slot, down pole, down slot); raises DegeneracyError when the
-    bookkeeping cannot complete the plan."""
-    values = [list(spec.eigen_list()) for spec in specs]
+    moves pair in lexicographic slot order.  Returns (the new finite
+    residues, the moved exact eigenvalue list of every pole).  Raises
+    DegeneracyError when the bookkeeping cannot complete the plan, when a
+    move fails or when the drift of a state after a move exceeds
+    DRIFT_GUARD or is NaN."""
+    values = [list(spec.eigen_list()) for spec in sys0.specs]
+    keys = [spec.orbit_key[0] for spec in sys0.specs]  # _multiset of values
     left = [list(row) for row in shifts]
     m = len(values)
-    moves = []
-    while True:
+    finite = list(sys0.finite_residues)
+    rng = random.Random(1)  # test points of the gauge checks
+
+    def worst_drift(fin):
+        # against the moved values; np.max, unlike max, keeps a NaN
+        # distance wherever it sits
+        return float(np.max(_char_poly_distances(
+            list(fin) + [closing_residue(fin, sys0.nu)], keys)))
+
+    for count in itertools.count():
         ups = [(p, c) for p in range(m) for c, d in enumerate(left[p]) if d > 0]
         downs = [(p, c) for p in range(m) for c, d in enumerate(left[p]) if d < 0]
         if not ups and not downs:
-            return tuple(moves)
-        if len(moves) == 10000:
+            return finite, values
+        if count == 10000:
             raise DegeneracyError("translation planner did not terminate")
         if bool(ups) != bool(downs):
             raise DegeneracyError("unbalanced translation plan")
@@ -613,37 +619,15 @@ def _move_sequence(specs, shifts):
                        if v - 1 not in vset), None)
             if cd is None:
                 raise DegeneracyError("no collision-free auxiliary slot")
-        moves.append((pu, cu, pd, cd))
-        values[pu][cu] += 1
-        values[pd][cd] -= 1
-        left[pu][cu] -= 1
-        left[pd][cd] += 1
-
-
-def _run_moves(sys0: FuchsianSystem, moves):
-    """Execute one plan's moves from sys0, returning (the new finite
-    residues, the moved exact eigenvalue list of every pole).  Raises
-    DegeneracyError when a move fails or when the drift of a state after a
-    move exceeds DRIFT_GUARD or is NaN."""
-    values = [list(spec.eigen_list()) for spec in sys0.specs]
-    keys = [spec.orbit_key[0] for spec in sys0.specs]  # _multiset of values
-    finite = list(sys0.finite_residues)
-    rng = random.Random(1)  # test points of the gauge checks
-
-    def worst_drift(fin):
-        # against the moved values; np.max, unlike max, keeps a NaN
-        # distance wherever it sits
-        return float(np.max(_char_poly_distances(
-            list(fin) + [closing_residue(fin, sys0.nu)], keys)))
-
-    # guard the scaffolding states; the final tuple is additionally held to
-    # the full tolerance after re-anchoring
-    for pu, cu, pd, cd in moves:
         finite = _unit_move(finite, sys0.poles, sys0.nu, pu, values[pu][cu],
                             pd, values[pd][cd], rng)
         values[pu][cu] += 1
         values[pd][cd] -= 1
+        left[pu][cu] -= 1
+        left[pd][cd] += 1
         keys[pu], keys[pd] = _multiset(values[pu]), _multiset(values[pd])
+        # guard the scaffolding states; the final tuple is additionally
+        # held to the full tolerance after re-anchoring
         err = worst_drift(finite)
         if err > POLISH_TRIGGER:
             # near-degenerate passages amplify the witness error; re-anchor
@@ -654,7 +638,6 @@ def _run_moves(sys0: FuchsianSystem, moves):
             err = worst_drift(finite)
         if not err <= DRIFT_GUARD:
             raise DegeneracyError(f"intermediate orbit drift {err:.2e}")
-    return finite, values
 
 
 def _polish_residues(finite, exact_values, nu):
@@ -708,10 +691,10 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     orbit, the correct ones).
 
     The ranked move plans (_plan_moves) are tried in turn.  Each plan's
-    move sequence, paired in lexicographic slot order, runs once under
-    the drift guard (DRIFT_GUARD), re-anchoring any intermediate state
-    that drifts past POLISH_TRIGGER, and the first plan that gets through
-    wins.  Its final tuple is re-anchored on the exact orbit data (the
+    moves are chosen and run in one loop (_run_moves), paired in
+    lexicographic slot order, under the drift guard (DRIFT_GUARD),
+    re-anchoring any intermediate state that drifts past POLISH_TRIGGER,
+    and the first plan that gets through wins.  Its final tuple is re-anchored on the exact orbit data (the
     matrices are floating-point witnesses of the exact bookkeeping) to
     POLISH_ACCEPT, which stops drift from accumulating along iterated
     orbits, and verified, semisimplicity included (minpoly_error).  A
@@ -728,7 +711,7 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     for shifts, consts in plans:
         offsets = tuple(Fraction(c) for c in consts)
         try:
-            finite, values = _run_moves(sys0, _move_sequence(sys0.specs, shifts))
+            finite, values = _run_moves(sys0, shifts)
             finite = _polish_residues(finite, values, sys0.nu)
             # verified once, after the det-zero shift (normalize verifies
             # what it shifts)
@@ -752,7 +735,6 @@ def dp_orbit(sys: FuchsianSystem, mu, steps: int, sig_len: int = 3):
     run at the ORBIT_TOL acceptance tolerance.  A DegeneracyError names the
     failing step k and the smallest |root pairing| of its target lam, ahead
     of translate's own message."""
-    mu = mu if isinstance(mu, ParamVector) else ParamVector(tuple(mu))
     cur = replace(sys, tol=max(sys.tol, ORBIT_TOL))
     rows = [(0, cur.lam, signature(cur, sig_len))]
     for k in range(1, steps + 1):

@@ -19,9 +19,7 @@ from starweyl.dynkin import (
     hyperplane_count,
     is_regular,
     lattice_index,
-    leg_permutations,
     positive_roots,
-    permute_param,
     reflect_param,
     reflect_root,
     root_form,
@@ -338,7 +336,7 @@ def test_d4_weyl_group_order_by_orbit():
     lam = ParamVector((sum(thetas) / 2, -thetas[0], -thetas[1], -thetas[2],
                        -thetas[3]))
     assert is_regular(g, lam)[0]
-    orbit = weyl_orbit(g, lam, nodes=g.finite_nodes)
+    orbit = weyl_orbit(g, lam)
     assert len(orbit) == WEYL_ORDER["D4"] == 192
 
 
@@ -346,7 +344,7 @@ def test_d4_weyl_group_order_by_orbit():
 def test_root_orbit_size_divides_weyl_order(name):
     g = StarGraph.affine(name)
     alpha1 = ParamVector(tuple(F(x) for x in g.cartan[1]))
-    orbit = weyl_orbit(g, alpha1, nodes=g.finite_nodes)
+    orbit = weyl_orbit(g, alpha1)
     assert len(orbit) == ROOT_COUNTS[name]
     assert WEYL_ORDER[name] % len(orbit) == 0
 
@@ -376,17 +374,6 @@ def test_weight_lattice_membership_and_affine_action():
     word = AffineWeylElement((0, 1, 0), (0,) * g.node_count)
     expected = reflect_param(g, 0, reflect_param(g, 1, reflect_param(g, 0, lam)))
     assert apply_affine(g, word, lam).values == expected.values
-
-
-def test_leg_permutations_experimental():
-    g = StarGraph.affine("D4")
-    perms = leg_permutations(g)
-    assert len(perms) == 24  # Sym(4) on the four equal legs
-    lam = rand_level_zero(g, random.Random(23))
-    for perm in perms[:6]:
-        out = permute_param(lam, perm)
-        assert sorted(out.values) == sorted(lam.values)
-        assert out.is_level_zero(g.delta)
 
 
 def test_general_star_graph_interop():

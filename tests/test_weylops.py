@@ -355,6 +355,9 @@ def test_operations_preserve_scalar_sum_and_irreducibility(name):
 # the translate plans against a reference that runs every plan from scratch
 
 
+PARKED = []  # (up pole, auxiliary pole) of every move _reference_run parks
+
+
 def _reference_run(sys0, shifts):
     """One plan from scratch: pair the pending moves in lexicographic order
     and execute each one as soon as it is chosen."""
@@ -387,6 +390,7 @@ def _reference_run(sys0, shifts):
             pd = next(p for p in range(sys0.m) if p != pu)
             cd = next(c for c, v in enumerate(values[pd])
                       if v - 1 not in set(values[pd]))
+            PARKED.append((pu, pd))
         finite = _unit_move(finite, sys0.poles, sys0.nu, pu, values[pu][cu],
                             pd, values[pd][cd], rng)
         values[pu][cu] += 1
@@ -433,13 +437,21 @@ def _reference_translate(sys, mu):
 
 
 # D4 23/0 runs past step 24, where a guard stricter than DRIFT_GUARD would
-# change the winning plan
+# change the winning plan.  A vector is a light-basis index or the finite
+# coordinates of a level-zero vector; no light-basis orbit parks, while
+# plan 0 of E6 seed 0 along (0,-1,0,0,0,-1) does.
 @pytest.mark.parametrize("name, seed, vector, steps",
-                         [("D4", 23, 0, 30), ("E6", 23, 3, 3)])
+                         [("D4", 23, 0, 30), ("E6", 23, 3, 3),
+                          ("E6", 0, (0, -1, 0, 0, 0, -1), 3)])
 def test_translate_matches_from_scratch_ladder(name, seed, vector, steps):
     sysm, _ = sample_system(name, seed)
-    mu = light_translation_basis(sysm.graph)[vector]
+    g = sysm.graph
+    if isinstance(vector, int):
+        mu = light_translation_basis(g)[vector]
+    else:
+        mu = ParamVector(tuple(map(F, vector)) + (F(g.extending_entry(vector)),))
     cur = ref = replace(sysm, tol=max(sysm.tol, 1e-8))
+    PARKED.clear()
     for _ in range(steps):
         cur = translate(cur, mu)
         ref = _reference_translate(ref, mu)
@@ -447,6 +459,7 @@ def test_translate_matches_from_scratch_ladder(name, seed, vector, steps):
         assert cur.offsets == ref.offsets
         for a, b in zip(cur.residues, ref.residues):
             assert np.array_equal(a, b)
+    assert PARKED or isinstance(vector, int), "the parking input did not park"
 
 
 def _unit_vector(g, node, sign):
@@ -459,11 +472,11 @@ def test_translate_runs_each_sequence_once(monkeypatch):
     run_moves = weylops._run_moves
     runs = []
 
-    def spy(sys0, moves):
-        assert moves not in runs, "a plan ran twice"
-        runs.append(moves)
+    def spy(sys0, shifts):
+        assert shifts not in runs, "a plan ran twice"
+        runs.append(shifts)
         assert len(runs) <= weylops._PLANS
-        return run_moves(sys0, moves)
+        return run_moves(sys0, shifts)
 
     monkeypatch.setattr(weylops, "_run_moves", spy)
     # E8 seed 3 +e_4 fails its first plan and wins on the second
