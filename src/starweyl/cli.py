@@ -174,6 +174,11 @@ def cmd_sakai(args) -> int:
     _in_range(args.steps, "--steps", 0, STEPS_MAX)
     p = serialize.config_in(_read_json(args.config))
     rows = sakai_orbit(p, tuple(_int_list(args.mu)), args.steps)
+    # refuse, before any row is written, an entry that str() would refuse
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and max(max(abs(u.numerator), u.denominator) for _, cfg, _ in rows
+                     for u in cfg.values) >= 10 ** limit:
+        raise InputFormatError(f"an orbit entry has more than {limit} digits")
     lines = [",".join(["step"] + [f"u_{i + 1}" for i in range(p.r)] + ["walls"])]
     for k, cfg, walls in rows:
         flag = ";".join(f"{w[0]}{list(w[1])}".replace(" ", "") for w in walls)

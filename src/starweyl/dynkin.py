@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,17 +42,45 @@ WEYL_ORDER = {"D4": 192, "E6": 51840, "E7": 2903040, "E8": 696729600}
 AFFINE_TYPES = tuple(AFFINE_LEGS)
 
 
-@dataclass(frozen=True)
-class StarGraph:
+class Frozen:
+    """Immutable value base (a frozen dataclass without its import): the
+    attributes named in _fields, set in __init__ by object.__setattr__, give
+    ==, hash((field, ...)) and repr; the classes built on every path return
+    that tuple from their own _key.  No __slots__, so cached_property works."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return (self._key() == other._key() if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class StarGraph(Frozen):
     """Star-shaped graph with canonical node indexing (centre = 0)."""
 
-    legs: tuple[int, ...]
+    _fields = ("legs",)
 
-    def __post_init__(self):
-        legs = tuple(sorted(int(k) for k in self.legs))
+    def __init__(self, legs: tuple[int, ...]):
+        legs = tuple(sorted(int(k) for k in legs))
         if len(legs) < 1 or legs[0] < 1:
             raise ValueError(f"invalid leg lengths {legs}")
         object.__setattr__(self, "legs", legs)
+
+    def _key(self) -> tuple:
+        return (self.legs,)
 
     @classmethod
     def affine(cls, name: str) -> "StarGraph":
@@ -179,15 +206,16 @@ def finite_cartan(g: StarGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c[i][j] for j in fin) for i in fin)
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(Frozen):
     """Integer vector over a node index set (roots, dimension vectors)."""
 
-    coords: tuple[int, ...]
+    _fields = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           tuple(int(x) for x in self.coords))
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", tuple(int(x) for x in coords))
+
+    def _key(self) -> tuple:
+        return (self.coords,)
 
     def __getitem__(self, i):
         return self.coords[i]
@@ -222,8 +250,7 @@ def _integer_parts(values) -> tuple[list, int]:
              im.numerator * (den // im.denominator)) for re, im in parts], den
 
 
-@dataclass(frozen=True)
-class ParamVector:
+class ParamVector(Frozen):
     """Parameter vector lam over a node index set, exact by construction.
 
     An int entry becomes a Fraction, and so does a GaussianRational with
@@ -232,11 +259,11 @@ class ParamVector:
     entry is rational, else "Qi", whatever the spelling of the values.
     """
 
-    values: tuple
+    _fields = ("values",)
 
-    def __post_init__(self):
+    def __init__(self, values: tuple):
         vals = []
-        for v in self.values:
+        for v in values:
             if not isinstance(v, Fraction):
                 if isinstance(v, GaussianRational):
                     v = v.re if v.im == 0 else v
@@ -246,6 +273,9 @@ class ParamVector:
                     raise TypeError(f"parameter entries must be exact, got {v!r}")
             vals.append(v)
         object.__setattr__(self, "values", tuple(vals))
+
+    def _key(self) -> tuple:
+        return (self.values,)
 
     @property
     def field(self) -> str:
@@ -464,8 +494,7 @@ def lattice_index(g: StarGraph) -> int:
     return math.prod(smith_diagonal(finite_cartan(g)))
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
+class AffineWeylElement(Frozen):
     """Word in the generators r_0..r_r plus an integral translation mu
     with mu . delta = 0.
 
@@ -473,8 +502,11 @@ class AffineWeylElement:
     to left, i.e. word (i1,...,ik) acts as r_i1 o ... o r_ik.
     """
 
-    word: tuple[int, ...] = ()
-    translation: tuple[int, ...] = ()
+    _fields = ("word", "translation")
+
+    def __init__(self, word: tuple = (), translation: tuple = ()):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "translation", translation)
 
     @classmethod
     def identity(cls, g: StarGraph) -> "AffineWeylElement":

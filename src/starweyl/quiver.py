@@ -29,8 +29,8 @@ from .ratlin import GaussianRational
 class DimensionVector(RootVector):
     """A RootVector with nonnegative entries."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, coords: tuple[int, ...]):
+        super().__init__(coords)
         if any(x < 0 for x in self.coords):
             raise ValueError("dimensions must be nonnegative")
 

@@ -21,24 +21,23 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import ratlin
-from .dynkin import ParamVector, StarGraph
+from .dynkin import Frozen, ParamVector, StarGraph
 from .errors import InputFormatError
 
 
-@dataclass(frozen=True)
-class PicardLattice:
+class PicardLattice(Frozen):
     """Rank r+1 lattice with basis E_0..E_r and form diag(1, -1, ..., -1)."""
 
-    r: int
+    _fields = ("r",)
 
-    def __post_init__(self):
-        if self.r not in (6, 7, 8, 9):
+    def __init__(self, r: int):
+        if r not in (6, 7, 8, 9):
             raise ValueError("supported ranks are r = 6, 7, 8, 9")
+        object.__setattr__(self, "r", r)
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.r + 1))
@@ -81,16 +80,15 @@ def reflect_pic(lat: PicardLattice, f, alpha):
     return tuple(Fraction(x) + c * Fraction(a) for x, a in zip(f, alpha))
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(Frozen):
     """r-tuple of exact group-law coordinates on the smooth locus of the
     cuspidal cubic (the inflection point is the origin)."""
 
-    values: tuple
+    _fields = ("values",)
 
-    def __post_init__(self):
+    def __init__(self, values: tuple):
         vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
-                     for v in self.values)
+                     for v in values)
         if len(vals) not in (6, 7, 8, 9):
             raise ValueError("configurations have 6 to 9 points")
         object.__setattr__(self, "values", vals)

@@ -257,9 +257,13 @@ def word_in(doc):
                     raise ValueError("a leg permutation takes JSON integers")
                 tags.append(("relabel", tuple(tag[1])))
             else:
-                tags.append((kind, tuple(x if type(x) is int else _scalar_in(x)
-                                         for x in tag[1])))
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+                vals = tuple(x if type(x) is int else _scalar_in(x)
+                             for x in tag[1])
+                if kind == "tensor":  # shifts are added to complex floats
+                    for v in vals:
+                        complex(v)  # OverflowError beyond the float range
+                tags.append((kind, vals))
+        except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputFormatError(f"malformed word tag {tag!r}: {exc}")
     return tuple(tags)
 

@@ -182,6 +182,24 @@ def test_integer_points_read_like_their_string_spelling(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_sakai_refuses_rows_too_long_to_print(tmp_path):
+    """A row past Python's int-to-str digit limit is refused before any
+    row is written; a 4,300-digit point at step 0 still prints."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": serialize.CONFIG_SCHEMA,
+        "points": ["9" * 4300, "7/4", "13/5", "10/3", "-3", "5/2", "1", "2",
+                   "3"]}))
+    argv = ["sakai", "--config", str(cfg), "--mu", "[1,0,0,0,0,0,0,0]"]
+    out = run_cli(*argv, "--steps", "2")
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("input error: ")
+    assert len(out.stderr.splitlines()) == 1 and out.stdout == ""
+    out = run_cli(*argv, "--steps", "0")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[1].startswith("0," + "9" * 4300 + ",")
+
+
 def test_option_bounds_are_inclusive(tmp_path):
     sysfile = tmp_path / "sys.json"
     sysfile.write_text(serialize.dumps(_d4_document()))
@@ -264,9 +282,12 @@ def test_package_roots_and_sakai_do_not_import_numpy(tmp_path):
     exact = [["roots", "--type", "E8"],
              ["regular", "--type", "D4", "--lam-file", regular],
              ["regular", "--type", "E8", "--lam-file", wall]]
-    # roots and regular load neither numpy nor sakai
-    assert not _imports_numpy(_run_main(exact, ("numpy", "starweyl.sakai")))
-    assert not _imports_numpy(_run_main([_GOLDEN_SAKAI], ("numpy",)))
+    # roots and regular load neither numpy nor sakai, and none of the three
+    # loads dataclasses or inspect
+    assert not _imports_numpy(_run_main(exact, ("numpy", "starweyl.sakai",
+                                                "dataclasses", "inspect")))
+    assert not _imports_numpy(_run_main([_GOLDEN_SAKAI],
+                                        ("numpy", "dataclasses", "inspect")))
     # the probe sees numpy once a matrix module is loaded
     assert _imports_numpy("import starweyl\nstarweyl.translate")
 
@@ -364,6 +385,8 @@ def _set_first(field, change):
     ("word", _word(["translate", [0, 0]])),
     ("word", _word(["translate", [1, 0, 0, 0, -2, 0, 0]])),
     ("word", _word(["translate", [11, 0, 0, 0, -22]])),
+    ("word", _word(["tensor", [10 ** 400, 1, 1]])),
+    ("word", _word(["tensor", [str(10 ** 400), 1, 1]])),
     ("config", {"schema": serialize.CONFIG_SCHEMA, "points": ["1/2", "1/3"]}),
     ("config", {"schema": serialize.CONFIG_SCHEMA, "points": "123456"}),
     ("config", {"schema": serialize.CONFIG_SCHEMA,
@@ -430,7 +453,7 @@ def _set_first(field, change):
         "float-tensor-shift", "float-leg", "boolean-leg", "string-leg",
         "leg-extra-element", "central-extra-element", "string-relabel",
         "string-tensor", "short-translate", "long-translate",
-        "translate-sum-33",
+        "translate-sum-33", "tensor-int-overflow", "tensor-string-overflow",
         "two-point-config", "string-points", "float-point", "gaussian-point",
         "no-points", "lam-zero-denominator", "lam-off-level-zero",
         "lam-null-schema", "lam-no-schema", "lam-bad-field",

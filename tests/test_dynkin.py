@@ -376,6 +376,37 @@ def test_weight_lattice_membership_and_affine_action():
     assert apply_affine(g, word, lam).values == expected.values
 
 
+def test_value_classes_keep_frozen_dataclass_semantics():
+    from starweyl.quiver import DimensionVector
+    from starweyl.sakai import PicardLattice, PointConfig
+    r = RootVector((1, -2, 3))
+    assert r == RootVector([1, -2, 3]) and r != RootVector((1, -2, 4))
+    # equality is within one class, as with the dataclass
+    assert r.__eq__(DimensionVector((1, 2, 3))) is NotImplemented
+    assert RootVector((1, 2, 3)) != DimensionVector((1, 2, 3))
+    assert hash(r) == hash(((1, -2, 3),))
+    assert hash(AffineWeylElement((0, 1), (1, -1))) == hash(((0, 1), (1, -1)))
+    assert hash(StarGraph((5, 1, 2))) == hash(((1, 2, 5),))
+    assert hash(PointConfig(range(6))) == hash((tuple(map(F, range(6))),))
+    assert repr(r) == "RootVector(coords=(1, -2, 3))"
+    assert repr(DimensionVector((0, 1))) == "DimensionVector(coords=(0, 1))"
+    assert repr(ParamVector((1,))) == "ParamVector(values=(Fraction(1, 1),))"
+    assert repr(PicardLattice(9)) == "PicardLattice(r=9)"
+    assert repr(StarGraph((1, 2, 5))) == "StarGraph(1, 2, 5)<affine E8>"
+    g = StarGraph((1, 2, 5))
+    for obj, name in ((r, "coords"), (g, "legs"), (PicardLattice(8), "r"),
+                      (ParamVector((1,)), "values"), (g, "not_a_field")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        del r.coords
+    assert g.delta == RootVector((6, 3, 4, 2, 5, 4, 3, 2, 1))  # cached
+    with pytest.raises(ValueError):
+        DimensionVector((1, -1))
+    assert AffineWeylElement() == AffineWeylElement((), ())
+    assert AffineWeylElement(translation=(1, -1)).word == ()
+
+
 def test_general_star_graph_interop():
     g = StarGraph((2, 3, 5))
     assert g.node_count == 11
