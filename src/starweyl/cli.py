@@ -12,6 +12,9 @@ without numpy, and only the sakai subcommand loads the sakai module.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import sys
 
 from . import serialize
@@ -240,7 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _freeze_heap_at_exit():
+    """Register gc.freeze to run at exit, once per process.
+
+    A command's process exits right after main, and interpreter shutdown
+    then runs full collections over every tracked object (about 12,800
+    after import, 22,000 with numpy), which frozen objects skip.  Until
+    exit, collection runs as usual and an in-process caller's GC state is
+    not touched.  What is left unreachable is not finalized, so every file
+    the commands open is closed by a with block."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .ratlin import GaussianRational, mat, nullspace, smith_diagonal
+from .ratlin import GaussianRational, smith_diagonal
 
 AFFINE_LEGS = {
     "D4": (1, 1, 1, 1),
@@ -185,18 +185,16 @@ def _cartan(legs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=64)
 def _delta(legs: tuple[int, ...]) -> "RootVector":
-    g = StarGraph(legs)
-    ker = nullspace(mat([[Fraction(x) for x in row] for row in g.cartan]))
-    if len(ker) != 1:
+    """The null root.  Along a leg of length L a kernel vector of C falls
+    linearly from the centre, x_j = x_0 (L + 1 - j) / (L + 1), so ker C is
+    a line exactly when the centre's row vanishes too: sum 1/(L + 1) is the
+    number of legs minus 2.  Then x_0 = lcm(L + 1) gives the primitive
+    integer vector, whose extending entry is 1 on each affine signature."""
+    if sum(Fraction(1, n + 1) for n in legs) != len(legs) - 2:
         raise ValueError("graph is not of affine type: ker C is not a line")
-    denom = math.lcm(*(x.denominator for x in ker[0]))
-    ints = [int(x * denom) for x in ker[0]]
-    d = math.gcd(*ints)
-    ints = [x // d for x in ints]
-    if ints[g.extending] < 0:
-        ints = [-x for x in ints]
-    assert ints[g.extending] == 1 and all(x > 0 for x in ints)
-    return RootVector(tuple(ints))
+    x0 = math.lcm(*(n + 1 for n in legs))
+    return RootVector((x0,) + tuple(x0 // (n + 1) * (n + 1 - j) for n in legs
+                                    for j in range(1, n + 1)))
 
 
 def finite_cartan(g: StarGraph) -> tuple[tuple[int, ...], ...]:
@@ -320,13 +318,6 @@ def reflect_root(g: StarGraph, i: int, beta: RootVector) -> RootVector:
     coords = list(beta.coords)
     coords[i] -= pairing
     return RootVector(tuple(coords))
-
-
-def root_form(g: StarGraph, beta: RootVector, gamma: RootVector) -> int:
-    """(beta, gamma) = beta^T C gamma."""
-    c = g.cartan
-    return sum(beta[i] * c[i][j] * gamma[j]
-               for i in range(g.node_count) for j in range(g.node_count))
 
 
 def reflect_param(g: StarGraph, i: int, lam: ParamVector) -> ParamVector:

@@ -86,10 +86,6 @@ def moment_map(rep: QuiverRep) -> dict:
     return out
 
 
-def moment_trace_sum(mu: dict):
-    return sum((ratlin.trace(m) for m in mu.values()), Fraction(0))
-
-
 def dim_w(g: StarGraph, dims) -> int:
     """dim W = 2 * sum over edges of n_tail * n_head."""
     d = dims.coords if isinstance(dims, RootVector) else tuple(dims)

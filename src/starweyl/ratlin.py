@@ -254,20 +254,6 @@ def inv(a):
     return solve(a, identity(len(a)))
 
 
-def nullspace(a):
-    """Basis of the right kernel, as a tuple of vectors."""
-    m, pivots = _rref(a)
-    cols = len(a[0]) if a else 0
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def left_pseudo_inverse(phi):
     """(phi^T phi)^(-1) phi^T for a full column rank matrix."""
     pt = transpose(phi)

@@ -39,9 +39,6 @@ class PicardLattice(Frozen):
             raise ValueError("supported ranks are r = 6, 7, 8, 9")
         object.__setattr__(self, "r", r)
 
-    def basis_vector(self, i: int) -> tuple:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.r + 1))
-
     def intersect(self, f, g):
         acc = Fraction(f[0]) * Fraction(g[0])
         for a, b in zip(f[1:], g[1:]):

@@ -36,6 +36,17 @@ CONFIG_SCHEMA = "starweyl/config-v1"
 WORD_SCHEMA = "starweyl/word-v1"
 LAM_SCHEMA = "starweyl/lam-v1"
 
+# characters of outside input echoed in an input-error line
+ECHO_MAX = 80
+
+
+def _echo(x) -> str:
+    """x for an input-error line: its repr, or an exception's message
+    (which may quote the input), cut to ECHO_MAX characters and "…", so
+    that the line stays short however long the input."""
+    text = str(x) if isinstance(x, BaseException) else repr(x)
+    return text if len(text) <= ECHO_MAX else text[:ECHO_MAX] + "…"
+
 
 def _scalar_in(x):
     """An exact scalar from a "p/q" string or a JSON integer."""
@@ -43,17 +54,17 @@ def _scalar_in(x):
         try:
             return parse_rational(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"cannot parse rational {x!r}: {exc}")
+            raise InputFormatError(f"cannot parse rational {_echo(x)}: {_echo(exc)}")
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise InputFormatError(f"expected a \"p/q\" string or an integer, got {x!r}")
+    raise InputFormatError(f"expected a \"p/q\" string or an integer, got {_echo(x)}")
 
 
 def tol_in(x, name: str = "tol") -> float:
     """A verification tolerance: a number (not a boolean or a string) in
     (0, MAX_TOL]."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise InputFormatError(f"{name} must be a number, got {x!r}")
+        raise InputFormatError(f"{name} must be a number, got {_echo(x)}")
     tol = float(x)
     if not 0 < tol <= MAX_TOL:
         raise InputFormatError(
@@ -71,7 +82,8 @@ def _pair_in(x) -> complex:
     """A complex float from an [re, im] pair of JSON numbers (no booleans)."""
     if type(x) is not list or len(x) != 2 or \
             not all(type(v) in (int, float) for v in x):
-        raise InputFormatError(f"expected an [re, im] pair of numbers, got {x!r}")
+        raise InputFormatError(
+            f"expected an [re, im] pair of numbers, got {_echo(x)}")
     return complex(*x)
 
 
@@ -98,7 +110,7 @@ def lam_in(doc) -> ParamVector:
         raise InputFormatError("parameter document needs a 'values' list")
     lam = ParamVector(tuple(_scalar_in(v) for v in doc["values"]))
     if "field" in doc and doc["field"] != lam.field:
-        raise InputFormatError(f"field {doc['field']!r} does not match the "
+        raise InputFormatError(f"field {_echo(doc['field'])} does not match the "
                                f"values, which give {lam.field!r}")
     return lam
 
@@ -169,19 +181,14 @@ def system_in(doc) -> FuchsianSystem:
     if float(np.linalg.norm(residues[-1] - sysm.residues[-1])) > SUM_TOL * scale:
         raise InputFormatError("residues do not sum to nu * Id")
     if "nu" in doc and _scalar_in(doc["nu"]) != sysm.nu:
-        raise InputFormatError(f"nu {doc['nu']!r} does not match lam and "
+        raise InputFormatError(f"nu {_echo(doc['nu'])} does not match lam and "
                                f"offsets, which give {format_rational(sysm.nu)}")
     for key, derived in (("type", graph.affine_type),
                          ("normalization", sysm.normalization)):
         if key in doc and doc[key] != derived:
-            raise InputFormatError(f"{key} {doc[key]!r} does not match the "
+            raise InputFormatError(f"{key} {_echo(doc[key])} does not match the "
                                    f"document's data, which gives {derived!r}")
     return sysm
-
-
-def config_out(p: PointConfig) -> dict:
-    return {"schema": CONFIG_SCHEMA,
-            "points": [format_rational(u) for u in p.values]}
 
 
 def config_in(doc) -> PointConfig:
@@ -241,7 +248,7 @@ def word_in(doc):
         try:
             kind = tag[0]
             if not isinstance(kind, str) or kind not in _TAG_LENGTHS:
-                raise InputFormatError(f"unknown word tag {kind!r}")
+                raise InputFormatError(f"unknown word tag {_echo(kind)}")
             if len(tag) != _TAG_LENGTHS[kind]:
                 raise ValueError(f"the tag length must be {_TAG_LENGTHS[kind]}")
             if kind == "leg":
@@ -264,7 +271,7 @@ def word_in(doc):
                         complex(v)  # OverflowError beyond the float range
                 tags.append((kind, vals))
         except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputFormatError(f"malformed word tag {tag!r}: {exc}")
+            raise InputFormatError(f"malformed word tag {_echo(tag)}: {exc}")
     return tuple(tags)
 
 

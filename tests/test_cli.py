@@ -1,6 +1,8 @@
+import atexit
 import contextlib
 import copy
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -326,6 +328,28 @@ _EXPORTS = {
 }
 
 
+def test_main_leaves_the_callers_gc_state_alone(capsys):
+    from starweyl import cli
+    state = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+    hooks = atexit._ncallbacks()
+    for _ in range(2):
+        assert cli.main(["roots", "--type", "D4"]) == 0
+    assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == state
+    assert atexit._ncallbacks() <= hooks + 1  # one exit hook, however many calls
+
+
+def test_command_exits_with_a_frozen_heap():
+    # atexit runs the last registered first, so a probe registered before
+    # main runs after main's hook
+    code = ("import atexit, gc, sys\nfrom starweyl.cli import main\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "sys.exit(main(['roots', '--type', 'D4']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["D4: 24 roots / 12 hyperplanes", "True"]
+
+
 def test_package_exports_resolve_lazily():
     import importlib
 
@@ -506,6 +530,20 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("input error: ")
     assert len(out.stderr.splitlines()) == 1 and out.stdout == ""
+
+
+@pytest.mark.parametrize("tag", [["tensor", [10 ** 400, 1, 1]], ["x" * 5000],
+                                 ["tensor", ["7/" + "x" * 5000, 0, 0]]],
+                         ids=["401-digit-shift", "long-kind", "long-rational"])
+def test_input_error_line_echoes_a_bounded_input(tmp_path, tag):
+    sysfile = tmp_path / "sys.json"
+    sysfile.write_text(serialize.dumps(_d4_document()))
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps(_word(tag)))
+    out = run_cli("apply", "--system", str(sysfile), "--word", str(word))
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200, lines
 
 
 def _last_residue_plus_5(doc):

@@ -22,7 +22,6 @@ from starweyl.dynkin import (
     positive_roots,
     reflect_param,
     reflect_root,
-    root_form,
     root_pairing,
     root_pairings,
     smallest_root_pairing,
@@ -43,6 +42,13 @@ DIAGRAM_MARKS = {
 }
 
 ROOT_COUNTS = {"D4": 24, "E6": 72, "E7": 126, "E8": 240}
+
+
+def root_form(g, beta, gamma):
+    """(beta, gamma) = beta^T C gamma."""
+    c = g.cartan
+    return sum(beta[i] * c[i][j] * gamma[j]
+               for i in range(g.node_count) for j in range(g.node_count))
 
 
 def rand_level_zero(g, rng):
@@ -413,3 +419,10 @@ def test_general_star_graph_interop():
     assert g.legs == (2, 3, 5)
     with pytest.raises(ValueError):
         g.delta  # not an affine type: ker C is not a line
+
+
+@pytest.mark.parametrize("legs", [(2, 2, 2, 2), (1, 1, 1), (1, 1, 1, 1, 1),
+                                  (1, 5), (3,), (1, 2, 6), (2, 3, 3)])
+def test_delta_refuses_legs_that_are_not_affine(legs):
+    with pytest.raises(ValueError, match="not of affine type"):
+        StarGraph(legs).delta

@@ -17,7 +17,6 @@ from starweyl.quiver import (
     expected_dim,
     leg_chain_rep,
     moment_map,
-    moment_trace_sum,
     orbit_dimension,
     permute_params,
     project_params,
@@ -26,6 +25,10 @@ from starweyl.quiver import (
 
 DIM_W = {"D4": 16, "E6": 48, "E7": 96, "E8": 240}
 BINARY_ORDERS = {"D4": 8, "E6": 24, "E7": 48, "E8": 120}
+
+
+def moment_trace_sum(mu):
+    return sum((ratlin.trace(m) for m in mu.values()), F(0))
 
 
 def rand_level_zero_plus(inc, rng):

@@ -7,7 +7,7 @@ from starweyl import serialize
 from starweyl.dynkin import ParamVector
 from starweyl.errors import InputFormatError
 from starweyl.fuchsian import sample_system, signature
-from starweyl.ratlin import GaussianRational
+from starweyl.ratlin import GaussianRational, format_rational
 from starweyl.sakai import PointConfig
 
 
@@ -35,9 +35,11 @@ def test_lam_round_trip_fields():
 
 
 def test_config_round_trip():
+    # config-v1 is read-only: the package has its reader and no writer
     p = PointConfig((F(1, 2), F(-3, 7), F(0), F(5), F(7, 11), F(9)))
-    back = serialize.config_in(serialize.loads(serialize.dumps(
-        serialize.config_out(p))))
+    doc = {"schema": serialize.CONFIG_SCHEMA,
+           "points": [format_rational(u) for u in p.values]}
+    back = serialize.config_in(serialize.loads(serialize.dumps(doc)))
     assert back.values == p.values
 
 
