@@ -27,7 +27,7 @@ from .dynkin import (
     is_regular,
     weight_lattice_member,
 )
-from .errors import DegeneracyError, InputFormatError, StarweylError
+from .errors import DegeneracyError, InputFormatError
 from .ratlin import format_rational
 from .tolerances import DEFAULT_TOL, MU_NORM_MAX, SIG_LEN_MAX, STEPS_MAX
 
@@ -65,7 +65,8 @@ def _int_list(text: str) -> list:
 
 def _in_range(value: int, flag: str, lo: int, hi: float = float("inf")):
     if not lo <= value <= hi:
-        raise InputFormatError(f"{flag} must be from {lo} to {hi}, got {value}")
+        raise InputFormatError(
+            f"{flag} must be from {lo} to {hi}, got {serialize.echo(value)}")
 
 
 def _check_mu_norm(values, name: str):
@@ -148,7 +149,7 @@ def cmd_apply(args) -> int:
         out = apply_word(sysm, word)
     except ValueError as exc:
         # a generator the system cannot take (node, permutation, shift count)
-        raise InputFormatError(f"invalid word: {exc}")
+        raise InputFormatError(f"invalid word: {serialize.echo(exc)}")
     doc = serialize.system_out(out)
     doc["applied_word"] = serialize.word_out(tags)["tags"]
     sig = signature(out, 4)
@@ -268,9 +269,6 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         _log(f"degeneracy: {exc}")
         return 3
-    except StarweylError as exc:
-        _log(f"error: {exc}")
-        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,3 @@ class InputFormatError(StarweylError):
 
 class DegeneracyError(StarweylError):
     pass
-
-
-class DegenerateSampleError(DegeneracyError):
-    pass

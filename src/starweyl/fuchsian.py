@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ratlin
 from .dynkin import ParamVector, StarGraph, smallest_root_pairing
-from .errors import DegenerateSampleError, DegeneracyError
+from .errors import DegeneracyError
 from .tolerances import (
     BALANCE_TOL,
     DEFAULT_TOL,
@@ -464,7 +464,7 @@ def random_regular_lam(g: StarGraph, rng: random.Random) -> ParamVector:
                          for b in vs[i + 1:])
         if all(abs(d - round(d)) >= INTEGER_MARGIN for d in diffs):
             return lam
-    raise DegenerateSampleError("could not sample a regular lam")
+    raise DegeneracyError("could not sample a regular lam")
 
 
 def _fit_scale(target, diags) -> float:
@@ -628,7 +628,7 @@ def sample_system(type_name: str, seed: int, tol: float = DEFAULT_TOL):
                 + fitted[pivot:]
             sys = make_system(g, poles, mats[:-1], lam, tol=tol)
             return sys, lam
-    raise DegenerateSampleError(
+    raise DegeneracyError(
         f"sampling {type_name} with seed {seed} kept hitting degenerate fits")
 
 

@@ -40,11 +40,14 @@ LAM_SCHEMA = "starweyl/lam-v1"
 ECHO_MAX = 80
 
 
-def _echo(x) -> str:
-    """x for an input-error line: its repr, or an exception's message
-    (which may quote the input), cut to ECHO_MAX characters and "…", so
-    that the line stays short however long the input."""
-    text = str(x) if isinstance(x, BaseException) else repr(x)
+def echo(x) -> str:
+    """x for an input-error line: its repr, or the str of a Fraction or an
+    exception (whose message may quote the input), cut to ECHO_MAX
+    characters and "…", so the line stays short however long the input."""
+    try:
+        text = str(x) if isinstance(x, (BaseException, Fraction)) else repr(x)
+    except ValueError:  # an integer past the int-to-str digit limit
+        text = "a number too long to print"
     return text if len(text) <= ECHO_MAX else text[:ECHO_MAX] + "…"
 
 
@@ -54,17 +57,17 @@ def _scalar_in(x):
         try:
             return parse_rational(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"cannot parse rational {_echo(x)}: {_echo(exc)}")
+            raise InputFormatError(f"cannot parse rational {echo(x)}: {echo(exc)}")
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise InputFormatError(f"expected a \"p/q\" string or an integer, got {_echo(x)}")
+    raise InputFormatError(f"expected a \"p/q\" string or an integer, got {echo(x)}")
 
 
 def tol_in(x, name: str = "tol") -> float:
     """A verification tolerance: a number (not a boolean or a string) in
     (0, MAX_TOL]."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise InputFormatError(f"{name} must be a number, got {_echo(x)}")
+        raise InputFormatError(f"{name} must be a number, got {echo(x)}")
     tol = float(x)
     if not 0 < tol <= MAX_TOL:
         raise InputFormatError(
@@ -83,7 +86,7 @@ def _pair_in(x) -> complex:
     if type(x) is not list or len(x) != 2 or \
             not all(type(v) in (int, float) for v in x):
         raise InputFormatError(
-            f"expected an [re, im] pair of numbers, got {_echo(x)}")
+            f"expected an [re, im] pair of numbers, got {echo(x)}")
     return complex(*x)
 
 
@@ -110,7 +113,7 @@ def lam_in(doc) -> ParamVector:
         raise InputFormatError("parameter document needs a 'values' list")
     lam = ParamVector(tuple(_scalar_in(v) for v in doc["values"]))
     if "field" in doc and doc["field"] != lam.field:
-        raise InputFormatError(f"field {_echo(doc['field'])} does not match the "
+        raise InputFormatError(f"field {echo(doc['field'])} does not match the "
                                f"values, which give {lam.field!r}")
     return lam
 
@@ -148,7 +151,8 @@ def system_in(doc) -> FuchsianSystem:
             raise InputFormatError("legs must be a list of JSON integers")
         legs = tuple(legs)
         if legs not in AFFINE_LEGS.values():
-            raise InputFormatError(f"legs {list(legs)} are not an affine signature")
+            raise InputFormatError(
+                f"legs {echo(list(legs))} are not an affine signature")
         graph = StarGraph(legs)
         n = graph.delta[graph.center]
         poles = tuple(_pair_in(p) for p in doc["poles"])
@@ -181,12 +185,12 @@ def system_in(doc) -> FuchsianSystem:
     if float(np.linalg.norm(residues[-1] - sysm.residues[-1])) > SUM_TOL * scale:
         raise InputFormatError("residues do not sum to nu * Id")
     if "nu" in doc and _scalar_in(doc["nu"]) != sysm.nu:
-        raise InputFormatError(f"nu {_echo(doc['nu'])} does not match lam and "
+        raise InputFormatError(f"nu {echo(doc['nu'])} does not match lam and "
                                f"offsets, which give {format_rational(sysm.nu)}")
     for key, derived in (("type", graph.affine_type),
                          ("normalization", sysm.normalization)):
         if key in doc and doc[key] != derived:
-            raise InputFormatError(f"{key} {_echo(doc[key])} does not match the "
+            raise InputFormatError(f"{key} {echo(doc[key])} does not match the "
                                    f"document's data, which gives {derived!r}")
     return sysm
 
@@ -248,7 +252,7 @@ def word_in(doc):
         try:
             kind = tag[0]
             if not isinstance(kind, str) or kind not in _TAG_LENGTHS:
-                raise InputFormatError(f"unknown word tag {_echo(kind)}")
+                raise InputFormatError(f"unknown word tag {echo(kind)}")
             if len(tag) != _TAG_LENGTHS[kind]:
                 raise ValueError(f"the tag length must be {_TAG_LENGTHS[kind]}")
             if kind == "leg":
@@ -271,7 +275,7 @@ def word_in(doc):
                         complex(v)  # OverflowError beyond the float range
                 tags.append((kind, vals))
         except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputFormatError(f"malformed word tag {_echo(tag)}: {exc}")
+            raise InputFormatError(f"malformed word tag {echo(tag)}: {exc}")
     return tuple(tags)
 
 

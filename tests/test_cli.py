@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from starweyl import serialize
 from starweyl.fuchsian import sample_system, signature
-from starweyl.tolerances import SIG_LEN_MAX, STEPS_MAX
+from starweyl.ratlin import format_rational
+from starweyl.tolerances import MAX_TOL, SIG_LEN_MAX, STEPS_MAX
 
 
 def run_cli(*args):
@@ -380,6 +381,7 @@ def _d4_document():
 _SIX_POINTS = {"schema": serialize.CONFIG_SCHEMA,
                "points": ["1", "2", "3", "5", "7", "11"]}
 _NAN = float("nan")
+_BIG = "9" * 4000  # an option value far longer than an input-error line
 _ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 
@@ -473,6 +475,14 @@ def _set_first(field, change):
     ("config-args", ["--mu", "[1,2]", "--steps", "0"]),
     ("config-args", ["--mu", "[true,false,0,0,0,0]"]),
     ("orbit-args", ["--mu", "[true,false,false,false]"]),
+    ("config-args", ["--steps", _BIG]),
+    ("sample-args", ["--seed", "-" + _BIG]),
+    ("orbit-args", ["--mu", f"[{_BIG},0,0,-{_BIG}]"]),
+    ("orbit-args", ["--sig-len", _BIG]),
+    # each entry within Python's 4,300-digit int-to-str limit, their sum not
+    ("orbit-args", ["--mu", f"[{'9' * 4300},{'9' * 4300},0,0]"]),
+    ("word", _word(["leg", int(_BIG)])),
+    ("system", {"legs": [1, 1, 1, int(_BIG)]}),
 ], ids=["leg-without-node", "leg-center", "leg-out-of-range", "tags-not-a-list",
         "float-tensor-shift", "float-leg", "boolean-leg", "string-leg",
         "leg-extra-element", "central-extra-element", "string-relabel",
@@ -496,7 +506,9 @@ def _set_first(field, change):
         "orbit-zero-sig-len", "orbit-negative-sig-len", "orbit-huge-sig-len",
         "orbit-negative-steps", "orbit-huge-steps", "sakai-negative-steps",
         "sakai-huge-steps", "sakai-bad-mu-no-steps",
-        "sakai-bool-mu", "orbit-bool-mu"])
+        "sakai-bool-mu", "orbit-bool-mu", "sakai-long-steps",
+        "sample-long-seed", "orbit-long-mu-sum", "orbit-long-sig-len",
+        "orbit-mu-sum-past-digit-limit", "long-leg", "long-legs-entry"])
 def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     args = []
     if kind.endswith("-args"):
@@ -529,7 +541,8 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
         out = run_cli("regular", "--type", "D4", "--lam-file", str(path))
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("input error: ")
-    assert len(out.stderr.splitlines()) == 1 and out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200 and out.stdout == "", lines
 
 
 @pytest.mark.parametrize("tag", [["tensor", [10 ** 400, 1, 1]], ["x" * 5000],
@@ -640,32 +653,134 @@ _PLACES = (
        ("residues", 3, 1, 0, 0)])
 
 
-@settings(max_examples=120, deadline=None)
-@given(place=st.sampled_from(_PLACES), value=_JSON)
-def test_any_mutated_system_document_exits_0_2_or_3(tmp_path_factory, place,
-                                                     value):
-    doc = copy.deepcopy(_d4_document())
+def _mutated(doc, place, value):
+    """A copy of doc with value at place, a path of keys and indices; the
+    empty path replaces the whole document."""
+    if not place:
+        return value
+    doc = copy.deepcopy(doc)
     parent = doc
     for key in place[:-1]:
         parent = parent[key]
     parent[place[-1]] = value
-    work = tmp_path_factory.mktemp("doc")
-    sysfile, word = work / "sys.json", work / "word.json"
-    sysfile.write_text(json.dumps(doc))
-    word.write_text(json.dumps(_word(["leg", 1])))
+    return doc
+
+
+def _exits_0_2_or_3(argv):
+    """cli.main(argv) in process exits 0, 2 or 3, and a failure writes one
+    stderr line of under 200 characters."""
     from starweyl import cli
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        code = cli.main(["apply", "--system", str(sysfile), "--word",
-                         str(word)])
+        code = cli.main(argv)
     assert code in (0, 2, 3)
     if code:
-        assert len(err.getvalue().splitlines()) == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200, lines
+
+
+@settings(max_examples=120, deadline=None)
+@given(place=st.sampled_from(_PLACES), value=_JSON)
+def test_any_mutated_system_document_exits_0_2_or_3(tmp_path_factory, place,
+                                                     value):
+    work = tmp_path_factory.mktemp("doc")
+    sysfile, word = work / "sys.json", work / "word.json"
+    sysfile.write_text(json.dumps(_mutated(_d4_document(), place, value)))
+    word.write_text(json.dumps(_word(["leg", 1])))
+    _exits_0_2_or_3(["apply", "--system", str(sysfile), "--word", str(word)])
+
+
+def _places(doc, path=()):
+    """Every place in a JSON document: each key and index, nested."""
+    for key, value in (doc.items() if isinstance(doc, dict)
+                       else enumerate(doc)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _places(value, path + (key,))
+
+
+# a valid document of each other kind, and the command that reads it from
+# "{doc}" (apply reads the D4 system from "{system}")
+_DOCUMENTS = {
+    "word": (_word(["leg", 1], ["central"], ["tensor", ["1/2", 0, 0]],
+                   ["relabel", [1, 0, 2, 3]], ["translate", [-1, 0, 0, 1]]),
+             ["apply", "--system", "{system}", "--word", "{doc}"]),
+    "config": (_SIX_POINTS, ["sakai", "--config", "{doc}", "--mu",
+                             "[1,0,0,0,0,0]", "--steps", "2"]),
+    "lam": ({"schema": serialize.LAM_SCHEMA, "field": "Q",
+             "values": ["1", "2", "3", "5", "-12"]},
+            ["regular", "--type", "D4", "--lam-file", "{doc}"]),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The D4 system and six-point configuration files, by the names the
+    fuzzed invocations give them."""
+    work = tmp_path_factory.mktemp("inputs")
+    (work / "d4.json").write_text(serialize.dumps(_d4_document()))
+    (work / "cfg.json").write_text(json.dumps(_SIX_POINTS))
+    return {"system": str(work / "d4.json"), "config": str(work / "cfg.json")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(where=st.sampled_from([(kind, place) for kind, (doc, _) in
+                              _DOCUMENTS.items()
+                              for place in [(), *_places(doc)]]),
+       value=_JSON)
+def test_any_mutated_word_config_or_lam_document_exits_0_2_or_3(
+        tmp_path_factory, valid_inputs, where, value):
+    kind, place = where
+    doc, argv = _DOCUMENTS[kind]
+    path = tmp_path_factory.mktemp(kind) / "doc.json"
+    path.write_text(json.dumps(_mutated(doc, place, value)))
+    _exits_0_2_or_3([a.format(doc=path, **valid_inputs) for a in argv])
+
+
+def _outside(lo, hi):
+    """Integers below lo or above hi, of any size."""
+    return st.integers(max_value=lo - 1) | st.integers(min_value=hi + 1)
+
+
+def _mu(size):
+    """--mu text: size (or size - 1) small entries, any integers, or any
+    JSON."""
+    return (st.lists(st.integers(-2, 2), min_size=size - 1, max_size=size)
+            | st.lists(st.integers(), max_size=size + 1) | _JSON).map(json.dumps)
+
+
+_STEPS = st.integers(0, 3) | _outside(0, STEPS_MAX)
+# a valid invocation of each command, and the values drawn for each of its
+# options in turn: small valid sizes, so that no example runs a long orbit,
+# and out-of-range values of any size
+_INVOCATIONS = {
+    "orbit": (["--system", "{system}", "--mu", "[0,1,0,0,-1]", "--steps", "2"],
+              {"--mu": _mu(5), "--steps": _STEPS,
+               "--sig-len": st.integers(1, 4) | _outside(1, SIG_LEN_MAX)}),
+    "sakai": (["--config", "{config}", "--mu", "[1,0,0,0,0,0]", "--steps", "2"],
+              {"--mu": _mu(6), "--steps": _STEPS}),
+    "sample": (["--type", "D4"],
+               {"--seed": st.integers(0, 99) | st.integers(max_value=-1),
+                "--tol": st.floats(1e-12, MAX_TOL) | st.floats()}),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(where=st.sampled_from([(command, flag) for command, (_, options)
+                              in _INVOCATIONS.items() for flag in options]),
+       data=st.data())
+def test_any_option_value_exits_0_2_or_3(valid_inputs, where, data):
+    command, flag = where
+    argv, options = _INVOCATIONS[command]
+    value = data.draw(options[flag], label=flag)
+    # the value is given last, as --flag=value, which argparse never reads
+    # as an option of its own however the value starts
+    _exits_0_2_or_3([command] + [a.format(**valid_inputs) for a in argv]
+                    + [f"{flag}={value}"])
 
 
 def test_qi_system_translates_from_the_cli(tmp_path, qi_d4_system):
     from starweyl.dynkin import ParamVector
-    from starweyl.ratlin import format_rational
     mu = [-1, 0, 0, 1, 1]
     sysfile = tmp_path / "qi.json"
     sysfile.write_text(serialize.dumps(serialize.system_out(qi_d4_system)))
@@ -702,25 +817,43 @@ def test_orbit_failure_exits_3_naming_the_step(tmp_path, monkeypatch, capsys):
                               "smallest |root pairing| ")
 
 
-def test_e8_seed0_orbit_reproducer_exits_0(tmp_path, capsys):
-    """Unbalanced, this orbit exited 3 ("gauge residue check failed");
-    exit 0 means every step passed verify(), semisimplicity included."""
+def _orbit_marches(tmp_path, name, seed, mu, steps):
+    """Sample a system, run orbit along mu, and check that every row has
+    lam_0 + k mu: exit 0 means every step passed verify(), semisimplicity
+    included.  Returns lam_0."""
     from starweyl import cli
     from starweyl.dynkin import ParamVector
-    from starweyl.ratlin import format_rational
-    sysfile, csv = tmp_path / "e8.json", tmp_path / "orbit.csv"
-    assert cli.main(["sample", "--type", "E8", "--seed", "0",
+    sysfile, csv = tmp_path / "sys.json", tmp_path / "orbit.csv"
+    assert cli.main(["sample", "--type", name, "--seed", str(seed),
                      "--out", str(sysfile)]) == 0
-    mu = [-1, 0, 0, 1, 0, 1, 0, 0, 0]
     assert cli.main(["orbit", "--system", str(sysfile), "--mu", json.dumps(mu),
-                     "--steps", "10", "--out", str(csv)]) == 0
-    capsys.readouterr()
-    lam0 = serialize.system_in(json.loads(sysfile.read_text())).lam
+                     "--steps", str(steps), "--out", str(csv)]) == 0
+    sysm = serialize.system_in(json.loads(sysfile.read_text()))
+    if len(mu) < sysm.graph.node_count:
+        mu = mu + [sysm.graph.extending_entry(mu)]
     rows = csv.read_text().splitlines()[1:]
-    assert len(rows) == 11
+    assert len(rows) == steps + 1
     for k, row in enumerate(rows):
-        want = lam0 + ParamVector(tuple(F(k * x) for x in mu))
-        assert row.split(",")[1:10] == [format_rational(v) for v in want.values]
+        want = sysm.lam + ParamVector(tuple(F(k * x) for x in mu))
+        assert row.split(",")[1:len(mu) + 1] == \
+            [format_rational(v) for v in want.values]
+    return sysm.lam
+
+
+def test_e8_seed0_orbit_reproducer_exits_0(tmp_path):
+    """Unbalanced, this orbit exited 3 ("gauge residue check failed")."""
+    lam0 = _orbit_marches(tmp_path, "E8", 0, [-1, 0, 0, 1, 0, 1, 0, 0, 0], 10)
+    # the command writes the golden lam track of sample_system
+    golden = json.loads((Path(__file__).parent / "data" / "sample_lam.json")
+                        .read_text())
+    assert [format_rational(v) for v in lam0.values] == golden["E8"][0]
+
+
+def test_e8_seed3_orbit_reproducer_exits_0(tmp_path):
+    """A heavy unit translate whose first ranked plan fails and whose
+    second carries it (test_translate_runs_each_sequence_once counts the
+    plans of one step), run for two steps."""
+    _orbit_marches(tmp_path, "E8", 3, [0, 0, 0, 0, 1, 0, 0, 0], 2)
 
 
 def test_overflowing_residues_exit_3(tmp_path, capsys):
