@@ -178,22 +178,29 @@ def cmd_sakai(args) -> int:
     _in_range(args.steps, "--steps", 0, STEPS_MAX)
     p = serialize.config_in(_read_json(args.config))
     rows = sakai_orbit(p, tuple(_int_list(args.mu)), args.steps)
-    # refuse, before any row is written, an entry that str() would refuse
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    if limit and max(max(abs(u.numerator), u.denominator) for _, cfg, _ in rows
-                     for u in cfg.values) >= 10 ** limit:
-        raise InputFormatError(f"an orbit entry has more than {limit} digits")
     lines = [",".join(["step"] + [f"u_{i + 1}" for i in range(p.r)] + ["walls"])]
-    for k, cfg, walls in rows:
-        flag = ";".join(f"{w[0]}{list(w[1])}".replace(" ", "") for w in walls)
-        lines.append(",".join([str(k)] + [format_rational(u) for u in cfg.values]
-                              + [flag]))
+    try:  # every row is built before any is written
+        for k, cfg, walls in rows:
+            flag = ";".join(f"{w[0]}{list(w[1])}".replace(" ", "") for w in walls)
+            lines.append(",".join([str(k)] + [format_rational(u) for u in cfg.values]
+                                  + [flag]))
+    except ValueError:  # str() of an integer past the int-to-str digit limit
+        raise InputFormatError("an orbit entry has more than "
+                               f"{sys.get_int_max_str_digits()} digits")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its own errors, and its subparsers', are input errors, cut as
+    serialize.echo cuts a message (exit 2); --help still exits 0."""
+
+    def error(self, message):
+        raise InputFormatError(serialize.echo(argparse.ArgumentError(None, message)))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="starweyl",
         description="Affine Weyl symmetries of Fuchsian systems: roots, "
                     "sampling, reflection words, difference-Painleve orbits.")
@@ -259,9 +266,8 @@ def _freeze_heap_at_exit():
 
 def main(argv=None) -> int:
     _freeze_heap_at_exit()
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputFormatError as exc:
         _log(f"input error: {exc}")

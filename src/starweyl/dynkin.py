@@ -449,21 +449,15 @@ def hyperplane_count(g: StarGraph) -> int:
 
 def weight_lattice_member(g: StarGraph, mu) -> bool:
     """mu in P(R) = { lam | lam_i in Z, lam . delta = 0 }; a vector of the
-    wrong length is not."""
-    vals = mu.values if isinstance(mu, ParamVector) else tuple(mu)
-    if len(vals) != g.node_count:
+    wrong length, or with an entry ParamVector refuses, is not."""
+    try:  # ParamVector entries are Fractions, or Gaussian off the real line
+        vals = (mu if isinstance(mu, ParamVector) else ParamVector(tuple(mu))).values
+    except TypeError:
         return False
-    ints = []
-    for v in vals:
-        if isinstance(v, int):
-            ints.append(v)
-        elif isinstance(v, Fraction) and v.denominator == 1:
-            ints.append(int(v))
-        elif isinstance(v, GaussianRational) and v.im == 0 and v.re.denominator == 1:
-            ints.append(int(v.re))
-        else:
-            return False
-    return g.delta.dot(ints) == 0
+    if len(vals) != g.node_count or not all(
+            isinstance(v, Fraction) and v.denominator == 1 for v in vals):
+        return False
+    return g.delta.dot([v.numerator for v in vals]) == 0
 
 
 def weight_lattice_basis(g: StarGraph) -> tuple[RootVector, ...]:

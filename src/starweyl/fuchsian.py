@@ -395,13 +395,10 @@ class FuchsianSystem:
             raise ValueError("lam must be level zero")
         return _check_orbits(zip(self.residues, self.specs), self.tol, "residue")
 
-    def with_residues(self, finite, verify: bool = True,
-                      **changes) -> "FuchsianSystem":
-        """replace(self, finite_residues=finite, **changes), verified unless
-        verify is False."""
+    def with_residues(self, finite, **changes) -> "FuchsianSystem":
+        """replace(self, finite_residues=finite, **changes), verified."""
         sys2 = replace(self, finite_residues=tuple(finite), **changes)
-        if verify:
-            sys2.verify()
+        sys2.verify()
         return sys2
 
 
@@ -467,11 +464,6 @@ def random_regular_lam(g: StarGraph, rng: random.Random) -> ParamVector:
     raise DegeneracyError("could not sample a regular lam")
 
 
-def _fit_scale(target, diags) -> float:
-    return max(1.0, float(np.linalg.norm(target)),
-               max(float(np.linalg.norm(d)) for d in diags))
-
-
 def _commutator_jacobian(mats):
     """Jacobian of X_1..X_k -> sum_k (X_k A_k - A_k X_k) for the (k, n, n)
     stack mats: the blocks I (x) A_k^T - A_k (x) I side by side, built by
@@ -499,8 +491,9 @@ def _pinned_normal(mats, norm2):
 
 def _tr_gauss_newton(gs, diags, target, tol, max_iters):
     """Trust-region Gauss-Newton for sum_k g_k D_k g_k^{-1} = target,
-    acting on the conjugators.  Returns (gs, mats, residual) with gs and
-    mats as lists of matrices.
+    acting on the conjugators.  Returns (gs, mats, residual, goal) with gs
+    and mats as lists of matrices; the fit stops once the residual is below
+    goal = tol * max(1, ||target||, max_k ||D_k||), the fit scale.
 
     The step is the minimum-norm solution x of J x = -vec(f), for J the
     commutator Jacobian of the current mats and f their residual, taken as
@@ -511,7 +504,8 @@ def _tr_gauss_newton(gs, diags, target, tol, max_iters):
     n = target.shape[0]
     eye = np.eye(n)
     k = len(diags)
-    scale = _fit_scale(target, diags)
+    goal = tol * max(1.0, float(np.linalg.norm(target)),
+                     max(float(np.linalg.norm(d)) for d in diags))
     diags = np.array(diags)
 
     def normalize_cols(g):
@@ -529,7 +523,7 @@ def _tr_gauss_newton(gs, diags, target, tol, max_iters):
     res = float(np.linalg.norm(f))
     radius = 0.5
     for _ in range(max_iters):
-        if res < tol * scale:
+        if res < goal:
             break
         jac, normal = _pinned_normal(mats, float(np.vdot(mats, mats).real))
         try:
@@ -564,7 +558,7 @@ def _tr_gauss_newton(gs, diags, target, tol, max_iters):
             radius /= 3
             if radius < 1e-6:
                 break
-    return list(gs), list(mats), res
+    return list(gs), list(mats), res, goal
 
 
 def _draw_starts(n, count, style, rng):
@@ -582,15 +576,14 @@ def _fit_orbit_sum(target: np.ndarray, specs, rng: np.random.Generator):
     by trust-region Gauss-Newton from two starts."""
     n = target.shape[0]
     diags = [np.diag(s.eigen_complex()) for s in specs]
-    scale = _fit_scale(target, diags)
 
     # different instances favour different starting basins, so try both
     # initialisation styles
     for style in (1, 0):
         gs = _draw_starts(n, len(specs), style, rng)
-        gs, mats, res = _tr_gauss_newton(gs, diags, target, FIT_TOL,
-                                         max_iters=150)
-        if res < FIT_TOL * scale:
+        _, mats, res, goal = _tr_gauss_newton(gs, diags, target, FIT_TOL,
+                                              max_iters=150)
+        if res < goal:
             return mats
     return None
 
@@ -805,5 +798,5 @@ def balance(sys: FuchsianSystem) -> FuchsianSystem:
     if pq is None:
         return sys
     pos, pos_inv = pq
-    return sys.with_residues([pos @ a @ pos_inv for a in sys.finite_residues],
-                             verify=False)
+    return replace(sys, finite_residues=[pos @ a @ pos_inv
+                                         for a in sys.finite_residues])

@@ -166,17 +166,11 @@ class IncrementedQuiver:
 
     @cached_property
     def dims(self) -> DimensionVector:
-        gb, db = self.base.graph, self.base.dims
-        g = self.graph
-        n = self.base.big_n
-        d = [0] * g.node_count
-        d[g.center] = n
-        for j in range(gb.num_legs - 1):
-            for src, dst in zip(gb.leg_nodes(j), g.leg_nodes(j)):
-                d[dst] = db[src]
-        full = g.leg_nodes(g.num_legs - 1)
-        for k, node in enumerate(full):
-            d[node] = n - 1 - k
+        """N at the new centre, and each base dimension at its to_plus node."""
+        d = [0] * self.graph.node_count
+        d[self.graph.center] = self.base.big_n
+        for node, n in enumerate(self.base.dims.coords):
+            d[self.to_plus(node)] = n
         return DimensionVector(tuple(d))
 
     @property

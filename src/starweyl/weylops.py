@@ -41,7 +41,6 @@ from .fuchsian import (
     OrbitSpec,
     _char_poly_distances,
     _check_orbits,
-    _fit_scale,
     _multiset,
     _tr_gauss_newton,
     balance,
@@ -151,25 +150,23 @@ def lift(sys: FuchsianSystem) -> IncrementedPair:
         raise ValueError("lift expects a determinant-zero normalised system")
     inc = IncrementedQuiver(
         AlmostAffineQuiver(sys.graph, DimensionVector.delta(sys.graph)))
-    lam_plus = embed_params(inc, sys.lam)
     n = sys.n
-    big = inc.big_n
-    sizes = inc.block_sizes
-    p = np.zeros((big, big), dtype=complex)
-    q = np.zeros((big, big), dtype=complex)
-    start = 0
-    for i, a in enumerate(sys.finite_residues):
+    zero = np.zeros((inc.big_n, inc.big_n), dtype=complex)
+    # block_slices reads only inc, so the zero pair places the blocks
+    pair = IncrementedPair(inc, embed_params(inc, sys.lam), zero, zero,
+                           sys.poles, sys.tol)
+    p, q = zero.copy(), zero.copy()
+    for i, (a, sl) in enumerate(zip(sys.finite_residues, pair.block_slices())):
         u, s, vh = np.linalg.svd(a)
         scale = max(s[0], 1.0)
         rank = int(np.sum(s > sys.tol * scale))
-        if rank != sizes[i]:
-            raise DegeneracyError(
-                f"residue {i} has numerical rank {rank}, expected {sizes[i]}")
+        if rank != sl.stop - sl.start:
+            raise DegeneracyError(f"residue {i} has numerical rank {rank}, "
+                                  f"expected {sl.stop - sl.start}")
         root = np.sqrt(s[:rank])
-        p[start:start + rank, :n] = root[:, None] * vh[:rank, :]
-        q[:n, start:start + rank] = u[:, :rank] * root[None, :]
-        start += rank
-    pair = IncrementedPair(inc, lam_plus, p, q, sys.poles, sys.tol)
+        p[sl, :n] = root[:, None] * vh[:rank, :]
+        q[:n, sl] = u[:, :rank] * root[None, :]
+    pair = replace(pair, p=p, q=q)
     pair.verify()
     return pair
 
@@ -669,9 +666,8 @@ def _polish_residues(finite, exact_values, nu):
         gs.append(vecs / np.where(norms > 0, norms, 1.0))
         diags.append(np.diag(exact[order]))
     target = _cx(nu) * np.eye(n)
-    _, out, res = _tr_gauss_newton(gs, diags, target, POLISH_ACCEPT,
-                                   max_iters=60)
-    goal = POLISH_ACCEPT * _fit_scale(target, diags)
+    _, out, res, goal = _tr_gauss_newton(gs, diags, target, POLISH_ACCEPT,
+                                         max_iters=60)
     if not res <= goal:
         raise DegeneracyError(
             f"re-anchoring residual {res:.2e} above {goal:.2e}")
@@ -715,8 +711,8 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
             finite = _polish_residues(finite, values, sys0.nu)
             # verified once, after the det-zero shift (normalize verifies
             # what it shifts)
-            out = sys0.with_residues(finite, lam=lam_new, offsets=offsets,
-                                     verify=False)
+            out = replace(sys0, finite_residues=finite, lam=lam_new,
+                          offsets=offsets)
             shifted = normalize(out, "det_zero")
             if shifted is out:
                 out.verify()

@@ -483,6 +483,11 @@ def _set_first(field, change):
     ("orbit-args", ["--mu", f"[{'9' * 4300},{'9' * 4300},0,0]"]),
     ("word", _word(["leg", int(_BIG)])),
     ("system", {"legs": [1, 1, 1, int(_BIG)]}),
+    # argparse's own errors
+    ("sample-args", ["--type", "X"]),
+    ("orbit-args", ["--steps", "x" * 5000]),
+    ("argv", ["sakai", "--mu", "[1,0,0,0,0,0]"]),
+    ("sample-args", ["--no-such-option"]),
 ], ids=["leg-without-node", "leg-center", "leg-out-of-range", "tags-not-a-list",
         "float-tensor-shift", "float-leg", "boolean-leg", "string-leg",
         "leg-extra-element", "central-extra-element", "string-relabel",
@@ -508,7 +513,9 @@ def _set_first(field, change):
         "sakai-huge-steps", "sakai-bad-mu-no-steps",
         "sakai-bool-mu", "orbit-bool-mu", "sakai-long-steps",
         "sample-long-seed", "orbit-long-mu-sum", "orbit-long-sig-len",
-        "orbit-mu-sum-past-digit-limit", "long-leg", "long-legs-entry"])
+        "orbit-mu-sum-past-digit-limit", "long-leg", "long-legs-entry",
+        "sample-bad-type", "orbit-5000-letter-steps", "sakai-without-config",
+        "sample-unknown-option"])
 def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     args = []
     if kind.endswith("-args"):
@@ -537,6 +544,8 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
                       *args)
     elif kind == "sample":
         out = run_cli("sample", "--type", "D4", *(args or ["--tol", doc]))
+    elif kind == "argv":
+        out = run_cli(*doc)
     else:
         out = run_cli("regular", "--type", "D4", "--lam-file", str(path))
     assert out.returncode == 2, out.stderr
@@ -772,7 +781,8 @@ _INVOCATIONS = {
 def test_any_option_value_exits_0_2_or_3(valid_inputs, where, data):
     command, flag = where
     argv, options = _INVOCATIONS[command]
-    value = data.draw(options[flag], label=flag)
+    # or any text, which argparse may refuse to convert
+    value = data.draw(options[flag] | st.text(), label=flag)
     # the value is given last, as --flag=value, which argparse never reads
     # as an option of its own however the value starts
     _exits_0_2_or_3([command] + [a.format(**valid_inputs) for a in argv]

@@ -79,7 +79,7 @@ def test_lift_rejects_zero_residue():
     sysm, lam = sample_system("D4", seed=2)
     finite = [a.copy() for a in sysm.finite_residues]
     finite[0] = np.zeros_like(finite[0])
-    broken = sysm.with_residues(finite, verify=False)
+    broken = replace(sysm, finite_residues=finite)
     with pytest.raises(DegeneracyError):
         lift(broken)
 
@@ -180,7 +180,7 @@ def test_central_reflection_rejects_nu_zero():
     vals[1] = vals[1] + 2 * lam[0]
     lam0 = ParamVector(tuple(vals))
     assert lam0.is_level_zero(sysm.graph.delta)
-    broken = sysm.with_residues(sysm.finite_residues, lam=lam0, verify=False)
+    broken = replace(sysm, lam=lam0)
     assert broken.nu == 0
     with pytest.raises(DegeneracyError):
         central_reflection(broken)
@@ -264,7 +264,7 @@ def test_schlesinger_step_and_inverse(name):
     rng = np.random.default_rng(0)
     moved = _unit_move(list(sysm.finite_residues), sysm.poles, sysm.nu, inf,
                        up_val, pj, down_val, rng)
-    stepped = sysm.with_residues(moved, verify=False)
+    stepped = replace(sysm, finite_residues=moved)
     dtr = np.trace(stepped.residues[inf]) - np.trace(sysm.residues[inf])
     assert abs(dtr - 1) < 1e-9
     values = [list(spec.eigen_list()) for spec in specs]
@@ -519,7 +519,7 @@ def test_failed_re_anchoring_raises_and_names_its_residual(monkeypatch):
     # a NaN residual fails like one above the goal
     for residual, spelled in ((0.5, r"5\.00e-01"), (float("nan"), "nan")):
         def stuck(gs, diags, target, tol, max_iters, res=residual):
-            return gs, gs, res
+            return gs, gs, res, tol
 
         monkeypatch.setattr(weylops, "_tr_gauss_newton", stuck)
         with pytest.raises(DegeneracyError,
@@ -711,6 +711,36 @@ def test_translate_from_a_closure_start(closure_system, name, node, vectors):
         out = translate(sysm, basis[i])
         assert out.lam.values == (sysm.lam + basis[i]).values
         assert out.verify() < 1e-8
+
+
+# on the E6 closure lam[3] = 0, a leg swap across or beside the merged
+# value and the light translates that move lam[3] off zero (vectors 1-3)
+# are walls
+@pytest.mark.parametrize("kind, index, message", [
+    ("leg", 3, "eigenvalue multiplicities differ across the swap"),
+    ("leg", 4, "reflection swaps a degenerate eigenvalue pair"),
+] + [("translate", i, "translation lands on a wall (orbit type would change)")
+     for i in (1, 2, 3)])
+def test_closure_walls_raise(closure_system, kind, index, message):
+    sysm = closure_system("E6", 3)
+    arg = index if kind == "leg" else light_translation_basis(sysm.graph)[index]
+    with pytest.raises(DegeneracyError, match=rf"^{re.escape(message)}$"):
+        apply_word(sysm, [(kind, arg)])
+
+
+# Heavy E8 translates that fail away from walls, although the same group
+# element succeeds as a chain of light translates; the last plan's error:
+# seed 0, step 4: "gauge residue check failed (1.26e+00)";
+# seed 1, step 2: "re-anchoring residual 4.34e-09 above 3.57e-10".
+@pytest.mark.xfail(strict=True, raises=DegeneracyError,
+                   reason="heavy E8 translates fail away from walls")
+@pytest.mark.parametrize("seed, mu, steps", [
+    (0, [5, 1, 0, -4, -5, 1, 0, -4, 4], 4),
+    (1, [10, 1, -2, -7, -6, -1, -1, -1, -2], 2),
+])
+def test_heavy_e8_orbit_reproducer(seed, mu, steps):
+    sysm, _ = sample_system("E8", seed)
+    dp_orbit(sysm, ParamVector(tuple(mu)), steps)
 
 
 # ---------------------------------------------------------------------------
