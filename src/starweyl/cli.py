@@ -198,6 +198,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputFormatError(serialize.echo(argparse.ArgumentError(None, message)))
 
+    def _check_value(self, action, value):
+        # an invalid choice cuts only the value: the list of choices stays whole
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise InputFormatError(argparse.ArgumentError(
+                action, f"invalid choice: {serialize.echo(value)} (choose from {choices})"))
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(

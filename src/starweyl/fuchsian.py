@@ -92,9 +92,6 @@ class OrbitSpec:
     def trace(self):
         return sum((v * m for v, m in self.entries), Fraction(0))
 
-    def shifted(self, c) -> "OrbitSpec":
-        return OrbitSpec(self.size, tuple((v + c, m) for v, m in self.entries))
-
     @functools.cached_property
     def orbit_key(self) -> tuple:
         """What the orbit test (_check_orbits) reads of the spec, on

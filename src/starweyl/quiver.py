@@ -16,6 +16,7 @@ and eigenvalue-swap calculus on the incremented quiver, all exactly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,10 +142,6 @@ class AlmostAffineQuiver:
         """N, one more than the central dimension."""
         return self.dims[self.graph.center] + 1
 
-    @property
-    def full_leg(self) -> int:
-        return self.graph.num_legs - 1
-
     @classmethod
     def affine(cls, name: str) -> "AlmostAffineQuiver":
         g = StarGraph.affine(name)
@@ -154,7 +151,8 @@ class AlmostAffineQuiver:
 @dataclass(frozen=True)
 class IncrementedQuiver:
     """The incremented quiver Q+ of an almost affine quiver, with the node
-    correspondence needed to move parameters back and forth."""
+    correspondence needed to move parameters back and forth and the block
+    layout of the incremented pairs that live on it."""
 
     base: AlmostAffineQuiver
 
@@ -165,12 +163,20 @@ class IncrementedQuiver:
         return StarGraph(tuple(legs))
 
     @cached_property
+    def node_map(self) -> tuple[int, ...]:
+        """The Q+ node of each base node.  The base centre lands on the top
+        of the full leg, and the other base nodes keep their order on the
+        remaining non-centre nodes (the full leg is numbered last)."""
+        top = self.graph.leg_nodes(self.full_leg)[0]
+        return (top,) + tuple(k for k in range(1, self.graph.node_count) if k != top)
+
+    @cached_property
     def dims(self) -> DimensionVector:
-        """N at the new centre, and each base dimension at its to_plus node."""
+        """N at the new centre, and each base dimension at its node_map node."""
         d = [0] * self.graph.node_count
         d[self.graph.center] = self.base.big_n
-        for node, n in enumerate(self.base.dims.coords):
-            d[self.to_plus(node)] = n
+        for plus, n in zip(self.node_map, self.base.dims.coords):
+            d[plus] = n
         return DimensionVector(tuple(d))
 
     @property
@@ -194,28 +200,23 @@ class IncrementedQuiver:
         assert sum(sizes) == self.big_n
         return sizes
 
-    def to_plus(self, node: int) -> int:
-        """Map a node of the base quiver into Q+ (the base centre lands on
-        the top of the full leg)."""
-        gb, g = self.base.graph, self.graph
-        if node == gb.center:
-            return g.leg_nodes(self.full_leg)[0]
-        leg, pos = gb.leg_of(node)
-        if leg == self.base.full_leg:
-            return g.leg_nodes(self.full_leg)[pos]
-        return g.leg_nodes(leg)[pos - 1]
+    @cached_property
+    def block_slices(self) -> tuple[slice, ...]:
+        """The rows of P, and columns of Q, of each finite pole's block, in
+        leg order: consecutive runs of block_sizes tiling range(N)."""
+        ends = itertools.accumulate(self.block_sizes)
+        return tuple(slice(end - s, end) for s, end in zip(self.block_sizes, ends))
 
 
 def embed_params(inc: IncrementedQuiver, lam: ParamVector) -> ParamVector:
     """Parameters of Q+ whose projection is lam; the Q+ centre gets 0 (the
     canonical section of pr)."""
-    gb = inc.base.graph
-    if len(lam) != gb.node_count:
+    if len(lam) != inc.base.graph.node_count:
         raise ValueError("parameter length mismatch with base quiver")
     vals = [None] * inc.graph.node_count
     vals[inc.graph.center] = Fraction(0)
-    for node in range(gb.node_count):
-        vals[inc.to_plus(node)] = lam[node]
+    for node, plus in enumerate(inc.node_map):
+        vals[plus] = lam[node]
     return ParamVector(tuple(vals))
 
 
@@ -233,13 +234,8 @@ def shift_params(inc: IncrementedQuiver, lam: ParamVector, shift) -> ParamVector
 def project_params(inc: IncrementedQuiver, lam: ParamVector) -> ParamVector:
     """pr(lam): shift so the centre vanishes, delete it, and contract the
     top joint of the full leg into the new centre."""
-    g = inc.graph
-    shifted = shift_params(inc, lam, -lam[g.center])
-    gb = inc.base.graph
-    vals = [None] * gb.node_count
-    for node in range(gb.node_count):
-        vals[node] = shifted[inc.to_plus(node)]
-    return ParamVector(tuple(vals))
+    shifted = shift_params(inc, lam, -lam[inc.graph.center])
+    return ParamVector(tuple(shifted[plus] for plus in inc.node_map))
 
 
 def permute_params(inc: IncrementedQuiver, lam: ParamVector) -> ParamVector:

@@ -98,11 +98,6 @@ class IncrementedPair:
         for a in (self.p, self.q):
             np.asarray(a).setflags(write=False)
 
-    def block_slices(self):
-        sizes = self.inc.block_sizes
-        return [slice(end - s, end)
-                for s, end in zip(sizes, itertools.accumulate(sizes))]
-
     @property
     def qp(self) -> np.ndarray:
         return self.q @ self.p
@@ -110,26 +105,23 @@ class IncrementedPair:
     @functools.cached_property
     def breve_specs(self) -> tuple[OrbitSpec, ...]:
         """Per-block target orbits: the leg orbit with the centre removed,
-        shifted down by the adjacent parameter."""
-        g = self.inc.graph
+        starting at minus the adjacent parameter."""
+        g, d, lam = self.inc.graph, self.inc.dims, self.lam_plus
         out = []
         for j in range(g.num_legs - 1):
-            nodes = g.leg_nodes(j)
-            n_i = self.inc.dims[nodes[0]]
-            spec = orbit_from_leg(n_i, [self.inc.dims[k] for k in nodes[1:]],
-                                  [self.lam_plus[k] for k in nodes[1:]])
-            out.append(spec.shifted(-self.lam_plus[nodes[0]]))
+            top, *rest = g.leg_nodes(j)
+            out.append(orbit_from_leg(d[top], [d[k] for k in rest],
+                                      [lam[k] for k in rest], first=-lam[top]))
         return tuple(out)
 
     @functools.cached_property
     def hat_spec(self) -> OrbitSpec:
-        """Orbit of QP: minus the shifted full-leg orbit."""
-        g = self.inc.graph
+        """Orbit of QP: the full-leg orbit of the negated parameters,
+        starting at the centre parameter."""
+        g, lam = self.inc.graph, self.lam_plus
         nodes = g.leg_nodes(self.inc.full_leg)
-        spec = orbit_from_leg(self.inc.big_n, [self.inc.dims[k] for k in nodes],
-                              [self.lam_plus[k] for k in nodes],
-                              first=-self.lam_plus[g.center])
-        return OrbitSpec(spec.size, tuple((-v, m) for v, m in spec.entries))
+        return orbit_from_leg(self.inc.big_n, [self.inc.dims[k] for k in nodes],
+                              [-lam[k] for k in nodes], first=lam[g.center])
 
     def verify(self):
         breves = self.breve_specs
@@ -139,8 +131,14 @@ class IncrementedPair:
         if total != hat.trace():
             raise ValueError("trace compatibility fails: lam . Delta != 0")
         pieces = [(self.qp, hat)] + [(self.p[sl, :] @ self.q[:, sl], spec)
-                                     for sl, spec in zip(self.block_slices(), breves)]
+                                     for sl, spec in zip(self.inc.block_slices, breves)]
         return _check_orbits(pieces, self.tol, "pair")
+
+
+@functools.lru_cache(maxsize=64)
+def _incremented(graph: StarGraph) -> IncrementedQuiver:
+    """Q+ of the affine quiver on graph, built once per leg signature."""
+    return IncrementedQuiver(AlmostAffineQuiver(graph, DimensionVector.delta(graph)))
 
 
 def lift(sys: FuchsianSystem) -> IncrementedPair:
@@ -148,15 +146,11 @@ def lift(sys: FuchsianSystem) -> IncrementedPair:
     pair with Q_i P_i = diag(A_i, 0)."""
     if sys.normalization != "det_zero":
         raise ValueError("lift expects a determinant-zero normalised system")
-    inc = IncrementedQuiver(
-        AlmostAffineQuiver(sys.graph, DimensionVector.delta(sys.graph)))
+    inc = _incremented(sys.graph)
     n = sys.n
-    zero = np.zeros((inc.big_n, inc.big_n), dtype=complex)
-    # block_slices reads only inc, so the zero pair places the blocks
-    pair = IncrementedPair(inc, embed_params(inc, sys.lam), zero, zero,
-                           sys.poles, sys.tol)
-    p, q = zero.copy(), zero.copy()
-    for i, (a, sl) in enumerate(zip(sys.finite_residues, pair.block_slices())):
+    p = np.zeros((inc.big_n, inc.big_n), dtype=complex)
+    q = p.copy()
+    for i, (a, sl) in enumerate(zip(sys.finite_residues, inc.block_slices)):
         u, s, vh = np.linalg.svd(a)
         scale = max(s[0], 1.0)
         rank = int(np.sum(s > sys.tol * scale))
@@ -166,7 +160,7 @@ def lift(sys: FuchsianSystem) -> IncrementedPair:
         root = np.sqrt(s[:rank])
         p[sl, :n] = root[:, None] * vh[:rank, :]
         q[:n, sl] = u[:, :rank] * root[None, :]
-    pair = replace(pair, p=p, q=q)
+    pair = IncrementedPair(inc, embed_params(inc, sys.lam), p, q, sys.poles, sys.tol)
     pair.verify()
     return pair
 
@@ -228,7 +222,7 @@ def project(pair: IncrementedPair) -> FuchsianSystem:
     binv = np.linalg.inv(basis)
     n_out = pair.inc.big_n - 1
     finite = [(binv @ (pair.q[:, sl] @ pair.p[sl, :]) @ basis)[:n_out, :n_out]
-              for sl in pair.block_slices()]
+              for sl in pair.inc.block_slices]
     lam_out = project_params(pair.inc, pair.lam_plus)
     return make_system(pair.inc.base.graph, pair.poles, finite, lam_out,
                        tol=max(pair.tol, ORBIT_TOL))

@@ -488,6 +488,8 @@ def _set_first(field, change):
     ("orbit-args", ["--steps", "x" * 5000]),
     ("argv", ["sakai", "--mu", "[1,0,0,0,0,0]"]),
     ("sample-args", ["--no-such-option"]),
+    ("command", ["foo"]),
+    ("command", ["x" * 5000]),
 ], ids=["leg-without-node", "leg-center", "leg-out-of-range", "tags-not-a-list",
         "float-tensor-shift", "float-leg", "boolean-leg", "string-leg",
         "leg-extra-element", "central-extra-element", "string-relabel",
@@ -515,7 +517,7 @@ def _set_first(field, change):
         "sample-long-seed", "orbit-long-mu-sum", "orbit-long-sig-len",
         "orbit-mu-sum-past-digit-limit", "long-leg", "long-legs-entry",
         "sample-bad-type", "orbit-5000-letter-steps", "sakai-without-config",
-        "sample-unknown-option"])
+        "sample-unknown-option", "unknown-command", "5000-letter-command"])
 def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     args = []
     if kind.endswith("-args"):
@@ -544,7 +546,7 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
                       *args)
     elif kind == "sample":
         out = run_cli("sample", "--type", "D4", *(args or ["--tol", doc]))
-    elif kind == "argv":
+    elif kind in ("argv", "command"):
         out = run_cli(*doc)
     else:
         out = run_cli("regular", "--type", "D4", "--lam-file", str(path))
@@ -552,6 +554,9 @@ def test_malformed_inputs_are_input_errors(tmp_path, kind, doc):
     assert out.stderr.startswith("input error: ")
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and len(lines[0]) < 200 and out.stdout == "", lines
+    if kind == "command":  # the value is cut, the list of choices never
+        assert "invalid choice: " in lines[0] and lines[0].endswith(
+            " (choose from 'roots', 'regular', 'sample', 'apply', 'orbit', 'sakai')"), lines
 
 
 @pytest.mark.parametrize("tag", [["tensor", [10 ** 400, 1, 1]], ["x" * 5000],

@@ -162,6 +162,31 @@ def test_increment_figures():
 
 
 @pytest.mark.parametrize("name", AFFINE_TYPES)
+def test_block_slices_tile_range_n_in_leg_order(name):
+    inc = IncrementedQuiver(AlmostAffineQuiver.affine(name))
+    g = inc.graph
+    rows = [k for sl in inc.block_slices for k in range(inc.big_n)[sl]]
+    assert rows == list(range(inc.big_n))
+    sizes = [sl.stop - sl.start for sl in inc.block_slices]
+    assert sizes == list(inc.block_sizes) \
+        == [inc.dims[g.leg_nodes(j)[0]] for j in range(g.num_legs - 1)]
+
+
+@pytest.mark.parametrize("name", AFFINE_TYPES)
+def test_node_map_is_a_bijection_onto_the_non_centre_nodes(name):
+    inc = IncrementedQuiver(AlmostAffineQuiver.affine(name))
+    gb, g = inc.base.graph, inc.graph
+    assert sorted(inc.node_map) == [k for k in range(g.node_count) if k != g.center]
+    assert inc.node_map[gb.center] == g.leg_nodes(inc.full_leg)[0]
+    # each base leg keeps its positions on its Q+ leg, below the base
+    # centre on the full leg
+    for j in range(gb.num_legs):
+        skip = int(j == inc.full_leg)
+        assert [inc.node_map[k] for k in gb.leg_nodes(j)] \
+            == list(g.leg_nodes(j)[skip:skip + gb.legs[j]])
+
+
+@pytest.mark.parametrize("name", AFFINE_TYPES)
 def test_shift_params_level_and_identity(name):
     inc = IncrementedQuiver(AlmostAffineQuiver.affine(name))
     rng = random.Random(29)

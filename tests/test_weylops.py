@@ -22,9 +22,11 @@ from starweyl.dynkin import (
 )
 from starweyl.errors import DegeneracyError
 from starweyl.fuchsian import (
+    OrbitSpec,
     conjugated,
     minpoly_error,
     normalize,
+    orbit_from_leg,
     sample_system,
     signature,
 )
@@ -48,7 +50,7 @@ from starweyl.weylops import (
 
 def block_signature(pair, length=3):
     import itertools
-    mats = [pair.q[:, sl] @ pair.p[sl, :] for sl in pair.block_slices()]
+    mats = [pair.q[:, sl] @ pair.p[sl, :] for sl in pair.inc.block_slices]
     vals = []
     for l in range(1, length + 1):
         for w in itertools.product(range(len(mats)), repeat=l):
@@ -73,6 +75,52 @@ def test_lift_block_structure(name):
     assert np.linalg.norm(qp[sysm.n:, :]) < 1e-12
     assert np.linalg.norm(qp[:, sysm.n:]) < 1e-12
     assert pair.verify() < 1e-9
+
+
+@pytest.mark.parametrize("name", AFFINE_TYPES)
+def test_lift_builds_one_incremented_quiver_per_type(name):
+    first, second = (lift(sample_system(name, seed)[0]) for seed in (0, 1))
+    assert first.inc is second.inc
+
+
+def _negate_and_shift_specs(pair):
+    """hat_spec and breve_specs built the longer way, as the reference: the
+    full-leg spec from -lam(centre) negated, each leg spec from 0 shifted
+    by minus its adjacent parameter."""
+    inc, lam = pair.inc, pair.lam_plus
+    g, d = inc.graph, inc.dims
+    nodes = g.leg_nodes(inc.full_leg)
+    spec = orbit_from_leg(inc.big_n, [d[k] for k in nodes], [lam[k] for k in nodes],
+                          first=-lam[g.center])
+    hat = OrbitSpec(spec.size, tuple((-v, m) for v, m in spec.entries))
+    breves = []
+    for j in range(g.num_legs - 1):
+        top, *rest = g.leg_nodes(j)
+        spec = orbit_from_leg(d[top], [d[k] for k in rest], [lam[k] for k in rest])
+        breves.append(OrbitSpec(spec.size,
+                                tuple((v - lam[top], m) for v, m in spec.entries)))
+    return hat, tuple(breves)
+
+
+@st.composite
+def _level_zero_plus(draw):
+    """Q+ of a random affine type and a level-zero lam on it; small
+    numerators, so that vanishing leg parameters collapse flag steps."""
+    inc = IncrementedQuiver(AlmostAffineQuiver.affine(draw(st.sampled_from(AFFINE_TYPES))))
+    g, d = inc.graph, inc.dims
+    vals = [F(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+            for _ in range(g.node_count)]
+    rest = sum(dk * v for k, (dk, v) in enumerate(zip(d.coords, vals)) if k != g.center)
+    vals[g.center] = F(-rest, d[g.center])
+    return inc, ParamVector(tuple(vals))
+
+
+@given(_level_zero_plus())
+def test_pair_specs_match_the_negate_and_shift_construction(drawn):
+    inc, lam_plus = drawn
+    zero = np.zeros((inc.big_n, inc.big_n), dtype=complex)
+    pair = IncrementedPair(inc, lam_plus, zero, zero, ())
+    assert (pair.hat_spec, pair.breve_specs) == _negate_and_shift_specs(pair)
 
 
 def test_lift_rejects_zero_residue():

@@ -22,9 +22,18 @@ import statistics
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _summary(runs):
-    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+def summary(runs):
+    """Median and quartiles of runs, inclusive method; one run is its own
+    quartiles."""
+    q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                      if len(runs) > 1 else runs * 3)
     return {"q1": q1, "median": median, "q3": q3, "runs": runs}
+
+
+def change_wins(parent, change, better) -> int:
+    """Pairs in which the change reads better; ties count for neither side."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
 
 def fold(args) -> dict:
@@ -41,14 +50,13 @@ def fold(args) -> dict:
                 sides[side].append(json.load(fh)["metrics"])
     metrics = {}
     for m in spec["end_to_end"]:
-        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        name = m["name"]
         parent = [run[name][0] for run in sides["parent"]]  # [value, unit]
         change = [run[name][0] for run in sides["change"]]
         metrics[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            "parent": _summary(parent), "change": _summary(change),
-            "change_wins": sum(sign * (c - p) > 0
-                               for p, c in zip(parent, change)),
+            "parent": summary(parent), "change": summary(change),
+            "change_wins": change_wins(parent, change, m["better"]),
         }
     return {"workload": args.workload, "seed": args.seed,
             "seconds": args.seconds, "pairs": len(args.parent),
