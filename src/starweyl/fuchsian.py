@@ -144,9 +144,9 @@ def predicted_specs(g: StarGraph, lam: ParamVector, offsets=None) -> tuple[Orbit
     n = delta[g.center]
     if offsets is None:
         offsets = (Fraction(0),) * g.num_legs
-    return tuple(orbit_from_leg(n, [delta[k] for k in g.leg_nodes(j)],
-                                [lam[k] for k in g.leg_nodes(j)], offsets[j])
-                 for j in range(g.num_legs))
+    return tuple(orbit_from_leg(n, [delta[k] for k in leg], [lam[k] for k in leg],
+                                offsets[j])
+                 for j, leg in enumerate(map(g.leg_nodes, range(g.num_legs))))
 
 
 def _key_counts(pairs) -> dict:

@@ -1,12 +1,20 @@
-"""The verdict rule of tools/bench_pair.py, on synthetic runs."""
+"""tools/bench_pair.py: the verdict rule and the record, on synthetic runs
+and fake checkouts."""
 
+import argparse
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
 import bench_pair
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 # ten parent runs with quartiles 102.25 and 106.75 around a median of 104.5
 PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
@@ -62,3 +70,102 @@ def test_ratio_interval_of_constant_ratios_is_that_ratio():
         and hi == pytest.approx(0.9)
     ratio, lo, hi = bench_pair.ratio_interval(PARENT, PARENT[::-1])
     assert lo <= ratio <= hi and lo < 1 < hi
+
+
+def result_line(value):
+    """A perfbench result line with every end-to-end metric at value."""
+    return {"correct": True, "attempted": 4, "failed": 0,
+            "metrics": {m["name"]: {"value": value, "unit": m["unit"]}
+                        for m in SPEC["end_to_end"]}}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
+                         ids=lambda path: path.name)
+def test_the_record_keeps_every_key_of_a_committed_record(path):
+    committed = json.loads(path.read_text())
+    # run_once adds each run's median raw ms per kind
+    results = {side: [dict(result_line(v), kinds={"roots": v, "sakai": 2 * v})
+                      for v in values]
+               for side, values in (("parent", (10.0, 11.0, 12.0)),
+                                    ("change", (9.0, 11.5, 12.5)))}
+    args = argparse.Namespace(workload=committed["workload"], seed=committed["seed"])
+    rec = json.loads(json.dumps(
+        bench_pair.record(SPEC, args, results, ("abc", "def"), "test host")))
+    assert committed.keys() <= rec.keys()
+    assert committed["metrics"].keys() == rec["metrics"].keys()
+    for name, metric in committed["metrics"].items():
+        assert metric.keys() <= rec["metrics"][name].keys()
+        for side in ("parent", "change"):
+            assert metric[side].keys() <= rec["metrics"][name][side].keys()
+    assert rec["kinds"]["roots"]["change_wins"] == 1
+    assert rec["kinds"]["sakai"]["parent"]["runs"] == [20.0, 22.0, 24.0]
+    assert rec["operations"]["change"] == {"failed": 0, "attempted": 12}
+    assert (rec["parent_commit"], rec["change_commit"], rec["host"]) \
+        == ("abc", "def", "test host")
+
+
+@pytest.mark.parametrize("label, expected", [
+    ("roots E8", "roots"), ("sakai r=9", "sakai"), ("E8/11/0#3", "E8"),
+    ("E6/5", "E6")])
+def test_kind_is_the_first_word_cut_at_a_slash(label, expected):
+    assert bench_pair.kind(label) == expected
+
+
+def test_commit_is_head_marked_when_a_tracked_file_differs(tmp_path):
+    def git(*argv):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+             "-c", "commit.gpgsign=false", *argv],
+            cwd=tmp_path, check=True, capture_output=True, text=True).stdout.strip()
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    (tmp_path / "untracked.txt").write_text("not tracked\n")
+    assert bench_pair.commit(tmp_path) == head
+    (tmp_path / "tracked.txt").write_text("two\n")
+    assert bench_pair.commit(tmp_path) == head + " + uncommitted changes"
+
+
+def fake_checkout(path, run_py):
+    """A directory whose perfbench/run.py is run_py."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(run_py)
+    return str(path)
+
+
+# a cli run of two operations: its trace file, then its result line
+FAKE_RUN = f"""
+import json, os
+os.makedirs("perfbench/out", exist_ok=True)
+with open("perfbench/out/cli-seed1-trace0.json", "w") as fh:
+    json.dump({{"raw": {{"labels": ["roots E8", "sakai r=9"],
+                        "latencies_s": [0.05, 0.07]}}}}, fh)
+print({json.dumps(result_line(1.0))!r})
+"""
+
+
+@pytest.mark.parametrize("last_line", ["oops", "[1, 2]"])
+def test_a_run_without_a_json_object_fails_cleanly(tmp_path, capsys, last_line):
+    bad = fake_checkout(tmp_path, f"print({last_line!r})\n")
+    assert bench_pair.main([bad, bad, "--workload", "cli", "--pairs", "1"]) == 1
+    assert "pair 0: the parent run failed" in capsys.readouterr().err
+
+
+def test_a_record_is_written_only_after_min_pairs_without_smoke(tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    root.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", root)
+    monkeypatch.setattr(bench_pair, "ROOT", str(root))
+    monkeypatch.setattr(bench_pair, "commit", lambda checkout: "abc")
+    monkeypatch.setattr(bench_pair, "this_host", lambda: "test host")
+    good = fake_checkout(tmp_path / "checkout", FAKE_RUN)
+    n = bench_pair.MIN_PAIRS
+    for extra in (["--pairs", str(n - 1)], ["--pairs", str(n), "--smoke"]):
+        assert bench_pair.main([good, good, "--workload", "cli", *extra]) == 0
+        assert not (root / "BENCH_cli.json").exists()
+    assert bench_pair.main([good, good, "--workload", "cli", "--pairs", str(n)]) == 0
+    rec = json.loads((root / "BENCH_cli.json").read_text())
+    assert rec["pairs"] == n and rec["parent_commit"] == "abc"
+    assert rec["kinds"]["sakai"]["parent"]["median"] == pytest.approx(70.0)

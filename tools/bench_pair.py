@@ -4,8 +4,7 @@
         --seed 1 --pairs 10
 
 Pair k runs `perfbench/run.py --trace 0` once in each checkout, for the
-`run_seconds` of BENCHMARK.json, the parent first in even pairs (0, 2,
-...) and the change first in odd ones.
+`run_seconds` of BENCHMARK.json, the parent first when k is even.
 For every end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles, how many pairs the change won (ties count for
 neither side), the median of the per-pair ratios change / parent with a
@@ -21,9 +20,13 @@ neither side), the median of the per-pair ratios change / parent with a
   not every run of the change reads better than every parent run;
 - within bound: otherwise.
 
-It also prints the failed share of each side.  Each run's metrics are
-printed as it ends; the tool exits 1 at the first run that fails or
-reports incorrect output.
+The same columns follow per operation kind (the label's first word cut
+at "/": the subcommand on cli, the type on orbit and sample), from each
+run's median raw (uncalibrated) ms of that kind in its perfbench/out/
+trace.  After MIN_PAIRS or more pairs without --smoke, all of it, with
+each side's failed operations, both commits and the host, goes to
+BENCH_<workload>.json at the repo root.  The tool exits 1 at the first
+run that fails, is incorrect or ends in no JSON object.
 """
 
 from __future__ import annotations
@@ -36,12 +39,24 @@ import statistics
 import subprocess
 import sys
 
-from bench_fold import change_wins, summary
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIN_PAIRS = 10          # fewer pairs than this never show a gain
 BOOTSTRAP = 2000        # resamples for the ratio's interval
 SIDES = ("parent", "change")
+
+
+def summary(runs):
+    """Median and quartiles of runs, inclusive method; one run is its own
+    quartiles."""
+    q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                      if len(runs) > 1 else runs * 3)
+    return {"q1": q1, "median": median, "q3": q3, "runs": runs}
+
+
+def change_wins(parent, change, better) -> int:
+    """Pairs in which the change reads better; ties count for neither side."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
 
 def failed_share(results) -> float:
@@ -82,40 +97,105 @@ def ratio_interval(parent, change, seed=0):
             medians[int(0.975 * BOOTSTRAP) - 1])
 
 
+def kind(label) -> str:
+    """The kind of an operation: the first word of its label, cut at "/"."""
+    return label.split()[0].split("/")[0]
+
+
 def run_once(checkout, args, seconds) -> dict | None:
-    """One perfbench run in checkout: its result line, or None if the run
-    failed."""
+    """One perfbench run in checkout: its result line, with the run's
+    median raw ms per operation kind under "kinds", or None if the run
+    failed or its last line is not a JSON object."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(seconds),
            "--trace", "0"] + (["--smoke"] if args.smoke else [])
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except ValueError:
         return None
-    return json.loads(lines[-1])
+    if not isinstance(result, dict):
+        return None
+    trace = os.path.join(checkout, "perfbench", "out",
+                         f"{args.workload}-seed{args.seed}-trace0.json")
+    with open(trace) as fh:
+        raw = json.load(fh)["raw"]
+    by_kind = {}
+    for label, s in zip(raw["labels"], raw["latencies_s"]):
+        by_kind.setdefault(kind(label), []).append(s * 1e3)
+    result["kinds"] = {k: statistics.median(v) for k, v in by_kind.items()}
+    return result
 
 
-def report(spec, results):
-    """The table of every end-to-end metric, and the failed shares."""
-    print(f"{'metric':<12} {'parent median [q1, q3]':>26} "
-          f"{'change median [q1, q3]':>26} {'wins':>6} "
-          f"{'ratio [95% interval]':>24}  verdict")
+def commit(checkout) -> str:
+    """HEAD of the git checkout, marked when a tracked file differs."""
+    head, dirty = (subprocess.check_output(["git", *argv], cwd=checkout, text=True)
+                   for argv in (["rev-parse", "HEAD"],
+                                ["status", "--porcelain", "--untracked-files=no"]))
+    return head.strip() + (" + uncommitted changes" if dirty else "")
+
+
+def this_host() -> str:
+    """The vCPUs, the BLAS pin of perfbench/run.py and the bytecode flag."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from run import BLAS_PIN   # the import pins this process too
+    env = dict(BLAS_PIN, PYTHONDONTWRITEBYTECODE=os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    return ", ".join([f"{os.cpu_count()} vCPUs"]
+                     + [f"{k}={v}" for k, v in env.items() if v])
+
+
+def compare(parent, change, better) -> dict:
+    """Both sides' summaries, the change's wins and the median paired
+    ratio change / parent with its 95 % interval, low to high."""
+    return {"parent": summary(parent), "change": summary(change),
+            "change_wins": change_wins(parent, change, better),
+            "ratio": dict(zip(("median", "low", "high"), ratio_interval(parent, change)))}
+
+
+def record(spec, args, results, commits, host) -> dict:
+    """The BENCH_<workload>.json record of results, the runs of each side
+    in pair order."""
     shares = tuple(failed_share(results[side]) for side in SIDES)
+    metrics = {}
     for m in spec["end_to_end"]:
-        runs = {side: [r["metrics"][m["name"]]["value"] for r in results[side]]
-                for side in SIDES}
-        cells = [f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
-                 for s in map(summary, runs.values())]
-        wins = change_wins(*runs.values(), m["better"])
-        ratio, lo, hi = ratio_interval(*runs.values())
-        print(f"{m['name']:<12} {cells[0]:>26} {cells[1]:>26} "
-              f"{wins:>3}/{len(runs['parent']):<2} "
-              f"{f'{ratio:.3f} [{lo:.3f}, {hi:.3f}]':>24}  "
-              f"{verdict(*runs.values(), m['better'], m['bound'], shares)}")
-    for side in SIDES:
-        failed = sum(r["failed"] for r in results[side])
-        attempted = sum(r["attempted"] for r in results[side])
-        print(f"{side}: {failed} failed of {attempted} attempted")
+        runs = [[r["metrics"][m["name"]]["value"] for r in results[side]]
+                for side in SIDES]
+        metrics[m["name"]] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            **compare(*runs, m["better"]),
+            "verdict": verdict(*runs, m["better"], m["bound"], shares)}
+    kinds = {k: compare(*([r["kinds"][k] for r in results[side]]
+                          for side in SIDES), "lower")
+             for k in sorted(results["parent"][0]["kinds"])}
+    return {"workload": args.workload, "seed": args.seed,
+            "seconds": spec["run_seconds"], "pairs": len(results["parent"]),
+            "order": "alternating: the parent runs first in pairs 0, 2, 4, ...",
+            "parent_commit": commits[0], "change_commit": commits[1],
+            "host": host, "metrics": metrics,
+            "operations": {side: {key: sum(r[key] for r in results[side])
+                                  for key in ("failed", "attempted")}
+                           for side in SIDES},
+            "kinds": kinds}
+
+
+def report(rec):
+    """The tables of the end-to-end metrics and the operation kinds, and
+    each side's failed operations."""
+    for title, rows, last in (("metric", rec["metrics"], "  verdict"),
+                              ("kind, raw ms", rec["kinds"], "")):
+        print(f"{title:<12} {'parent median [q1, q3]':>26} "
+              f"{'change median [q1, q3]':>26} {'wins':>6} "
+              f"{'ratio [95% interval]':>24}{last}")
+        for name, c in rows.items():
+            cells = [f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
+                     for s in (c["parent"], c["change"])]
+            ratio = "{median:.3f} [{low:.3f}, {high:.3f}]".format(**c["ratio"])
+            print(f"{name:<12} {cells[0]:>26} {cells[1]:>26} "
+                  f"{c['change_wins']:>3}/{rec['pairs']:<2} {ratio:>24}"
+                  + (f"  {c['verdict']}" if "verdict" in c else ""))
+    for side, ops in rec["operations"].items():
+        print(f"{side}: {ops['failed']} failed of {ops['attempted']} attempted")
 
 
 def main(argv=None) -> int:
@@ -130,11 +210,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    dirs = {"parent": args.parent, "change": args.change}
+    writes = args.pairs >= MIN_PAIRS and not args.smoke
+    # read before the runs, so a checkout outside git fails before them
+    commits = [commit(getattr(args, side)) for side in SIDES] if writes else [None] * 2
     results = {side: [] for side in SIDES}
     for k in range(args.pairs):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            result = run_once(dirs[side], args, spec["run_seconds"])
+            result = run_once(getattr(args, side), args, spec["run_seconds"])
             if result is None or not result["correct"]:
                 print(f"pair {k}: the {side} run failed or was incorrect",
                       file=sys.stderr)
@@ -143,7 +225,12 @@ def main(argv=None) -> int:
             values = " ".join(f"{name}={v['value']:.4g}"
                               for name, v in result["metrics"].items())
             print(f"# pair {k} {side}: {values}", flush=True)
-    report(spec, results)
+    rec = record(spec, args, results, commits, this_host() if writes else None)
+    report(rec)
+    if writes:
+        out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
+        with open(out, "w") as fh:
+            fh.write(json.dumps(rec, indent=1) + "\n")
     return 0
 
 
