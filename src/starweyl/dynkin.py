@@ -221,12 +221,6 @@ class RootVector(Frozen):
     def __len__(self):
         return len(self.coords)
 
-    def __add__(self, other):
-        return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return RootVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __neg__(self):
         return RootVector(tuple(-a for a in self.coords))
 
@@ -302,10 +296,6 @@ class ParamVector(Frozen):
     def __add__(self, other):
         ov = other.values if isinstance(other, ParamVector) else other
         return ParamVector(tuple(a + b for a, b in zip(self.values, ov)))
-
-    def __sub__(self, other):
-        ov = other.values if isinstance(other, ParamVector) else other
-        return ParamVector(tuple(a - b for a, b in zip(self.values, ov)))
 
     def scale(self, c) -> "ParamVector":
         return ParamVector(tuple(c * v for v in self.values))

@@ -31,10 +31,12 @@ from .dynkin import ParamVector, StarGraph, smallest_root_pairing
 from .errors import DegeneracyError
 from .tolerances import (
     BALANCE_TOL,
+    DECREASE_SHARE,
     DEFAULT_TOL,
     FIT_TOL,
     INTEGER_MARGIN,
     MINPOLY_TOL,
+    RADIUS_FLOOR,
     ROOT_MARGIN,
     SPAN_TOL,
 )
@@ -69,10 +71,6 @@ class OrbitSpec:
     @property
     def mults(self):
         return tuple(m for _, m in self.entries)
-
-    @property
-    def first(self):
-        return self.entries[0][0]
 
     @property
     def width(self) -> int:
@@ -542,7 +540,7 @@ def _tr_gauss_newton(gs, diags, target, tol, max_iters):
                 step /= 2
                 continue
             res_c = float(np.linalg.norm(f_c))
-            if res_c < res * (1 - 1e-4 * step):
+            if res_c < res * (1 - DECREASE_SHARE * step):
                 gs, mats, f, res = cand, mats_c, f_c, res_c
                 accepted = True
                 break
@@ -550,10 +548,10 @@ def _tr_gauss_newton(gs, diags, target, tol, max_iters):
         if accepted and step == 1.0:
             radius = min(radius * 1.6, 20.0)
         elif accepted:
-            radius = max(radius * step, 1e-6)
+            radius = max(radius * step, RADIUS_FLOOR)
         else:
             radius /= 3
-            if radius < 1e-6:
+            if radius < RADIUS_FLOOR:
                 break
     return list(gs), list(mats), res, goal
 
@@ -626,23 +624,16 @@ def sample_system(type_name: str, seed: int, tol: float = DEFAULT_TOL):
 # normalisation, irreducibility, signatures
 
 
-def normalize(sys: FuchsianSystem, mode: str) -> FuchsianSystem:
-    """Fix the scalar-tensoring freedom: mode "det_zero" zeroes the first
-    eigenvalue of every residue, "trace_zero" makes every residue
-    traceless.  The level-zero lam is untouched."""
-    specs = sys.specs
-    if mode == "det_zero":
-        shifts = [s.first for s in specs]
-    elif mode == "trace_zero":
-        shifts = [s.trace() / s.size for s in specs]
-    else:
-        raise ValueError(f"unknown normalisation {mode!r}")
-    if all(c == 0 for c in shifts):
+def normalize(sys: FuchsianSystem) -> FuchsianSystem:
+    """Fix the scalar-tensoring freedom in the determinant-zero
+    normalisation: each residue moves by minus its offset, its first
+    eigenvalue (orbit_from_leg starts there), and the offsets become zero.
+    The level-zero lam is untouched."""
+    if all(o == 0 for o in sys.offsets):
         return sys
-    finite = [a - ratlin.to_complex(c) * np.eye(sys.n)
-              for a, c in zip(sys.finite_residues, shifts[:-1])]
-    offsets = tuple(o - c for o, c in zip(sys.offsets, shifts))
-    return sys.with_residues(finite, offsets=offsets)
+    finite = [a - ratlin.to_complex(o) * np.eye(sys.n)
+              for a, o in zip(sys.finite_residues, sys.offsets)]
+    return sys.with_residues(finite, offsets=tuple(o - o for o in sys.offsets))
 
 
 def algebra_dimension(mats) -> int:

@@ -226,7 +226,7 @@ def _rref(rows, ncols=None):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:

@@ -19,13 +19,12 @@ never forbidden.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import ratlin
-from .dynkin import Frozen, ParamVector, StarGraph
+from .dynkin import Frozen, ParamVector, StarGraph, _integer_parts
 from .errors import InputFormatError
 
 
@@ -177,8 +176,7 @@ def wall_check(p: PointConfig):
     multiples of the total sum: over the points' common denominator a
     wall's sum V and the total M are integers, and V is hit when M divides
     it (when V = 0 if M = 0)."""
-    den = math.lcm(*(u.denominator for u in p.values))
-    n = [u.numerator * (den // u.denominator) for u in p.values]
+    n = [re for re, _ in _integer_parts(p.values)[0]]
     total = sum(n) if p.r == 9 else 0
     out = []
     for kind, labels, coeffs in _wall_table(p.r):

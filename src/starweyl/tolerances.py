@@ -19,6 +19,8 @@ POLISH_TRIGGER = 1e-9   # drift after a Schlesinger move that forces re-anchorin
 POLISH_ACCEPT = 1e-11   # re-anchoring Gauss-Newton goal and acceptance (fit scale)
 DRIFT_GUARD = 5e-7      # translate: worst orbit drift of a state after a move
 FIT_TOL = 2e-11         # sampler fit residual (fit scale)
+DECREASE_SHARE = 1e-4   # Gauss-Newton: a step t must cut the residual by this share of t
+RADIUS_FLOOR = 1e-6     # Gauss-Newton: a fit stops once its trust radius is below this
 SPAN_TOL = 1e-9         # a word extends the generated algebra (relative norm)
 ROOT_MARGIN = 0.05      # sampled lam: every root pairing this far from zero
 INTEGER_MARGIN = 0.02   # sampled lam: eigenvalue differences this far from integers

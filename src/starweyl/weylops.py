@@ -126,9 +126,8 @@ class IncrementedPair:
     def verify(self):
         breves = self.breve_specs
         hat = self.hat_spec
-        # trace compatibility encodes lam . Delta = 0
-        total = sum((s.trace() for s in breves), Fraction(0))
-        if total != hat.trace():
+        # trace compatibility (the breve traces sum to the hat trace): lam . Delta = 0
+        if not self.lam_plus.is_level_zero(self.inc.dims):
             raise ValueError("trace compatibility fails: lam . Delta != 0")
         pieces = [(self.qp, hat)] + [(self.p[sl, :] @ self.q[:, sl], spec)
                                      for sl, spec in zip(self.inc.block_slices, breves)]
@@ -237,7 +236,7 @@ def central_reflection(sys: FuchsianSystem) -> FuchsianSystem:
     if nu == 0:
         raise DegeneracyError("central reflection needs nu != 0 "
                               "(lam fixed by the reflection)")
-    sys0 = normalize(sys, "det_zero")
+    sys0 = normalize(sys)
     pair = lift(sys0)
     pair = relabel_first_two(pair)
     pair = scalar_shift(pair, -nu)
@@ -270,7 +269,7 @@ def leg_reflection(sys: FuchsianSystem, node: int) -> FuchsianSystem:
     out = replace(sys, lam=lam_new, offsets=tuple(offsets))
     out.verify()
     if sys.normalization == "det_zero" and out.normalization != "det_zero":
-        out = normalize(out, "det_zero")
+        out = normalize(out)
     return out
 
 
@@ -696,21 +695,15 @@ def translate(sys: FuchsianSystem, mu) -> FuchsianSystem:
     mu = mu if isinstance(mu, ParamVector) else ParamVector(tuple(mu))
     if not weight_lattice_member(g, mu):
         raise ValueError("mu must be integral and level zero")
-    sys0 = balance(normalize(sys, "det_zero"))
+    sys0 = balance(normalize(sys))
     lam_new, plans = _plan_moves(sys0, mu)
     for shifts, consts in plans:
-        offsets = tuple(Fraction(c) for c in consts)
         try:
             finite, values = _run_moves(sys0, shifts)
             finite = _polish_residues(finite, values, sys0.nu)
-            # verified once, after the det-zero shift (normalize verifies
-            # what it shifts)
-            out = replace(sys0, finite_residues=finite, lam=lam_new,
-                          offsets=offsets)
-            shifted = normalize(out, "det_zero")
-            if shifted is out:
-                out.verify()
-            return shifted
+            # the plan constants are the first eigenvalues: undo them at once
+            finite = [a - _cx(c) * np.eye(sys0.n) for a, c in zip(finite, consts)]
+            return make_system(g, sys0.poles, finite, lam_new, tol=sys0.tol)
         except DegeneracyError as exc:
             failure = exc
     raise DegeneracyError(

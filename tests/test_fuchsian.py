@@ -126,10 +126,11 @@ def test_sampled_lam_matches_the_golden_tracks():
 
 
 def test_specs_are_computed_once_per_system():
+    from starweyl.weylops import tensor_shift
     sysm, _ = sample_system("E6", seed=2)
     assert sysm.specs is sysm.specs
     assert sysm.specs == predicted_specs(sysm.graph, sysm.lam, sysm.offsets)
-    moved = normalize(sysm, "trace_zero")
+    moved = tensor_shift(sysm, (F(1, 2), F(-3)))
     assert moved.specs is not sysm.specs
     assert moved.specs == predicted_specs(moved.graph, moved.lam,
                                           moved.offsets)
@@ -156,22 +157,34 @@ def test_nu_and_the_closing_residue_are_derived():
         replace(sysm, finite_residues=sysm.finite_residues[:-1]).verify()
 
 
-def test_normalize_modes_and_round_trip():
+def test_normalize_round_trip():
+    """Leave det-zero by tensor_shift (traceless finite residues), then by
+    moving nu (a trace-zero system, as a "trace_zero" document reads), and
+    come back with normalize."""
+    from dataclasses import replace
+
+    from starweyl.weylops import tensor_shift
     sysm, _ = sample_system("E6", seed=2)
-    assert normalize(sysm, "det_zero") is sysm  # already there
-    tz = normalize(sysm, "trace_zero")
+    assert normalize(sysm) is sysm  # already there
+    moved = tensor_shift(sysm, [-s.trace() / s.size for s in sysm.specs[:-1]])
+    assert moved.normalization == "none" and moved.nu == sysm.nu
+    last = len(moved.offsets) - 1
+    tz = replace(moved, offsets=tuple(o - sysm.nu if k == last else o
+                                      for k, o in enumerate(moved.offsets)))
+    tz.verify()
     assert tz.normalization == "trace_zero"
     for a in tz.residues:
         assert abs(np.trace(a)) < 1e-10
     assert tz.nu == 0
-    dz = normalize(tz, "det_zero")
-    assert dz.normalization == "det_zero"
-    assert signature(dz, 3).distance(signature(sysm, 3)) < 1e-10
-    # eigenvalues reproduced through the round trip
-    for a, s in zip(dz.residues, dz.specs):
-        got = np.sort_complex(np.linalg.eigvals(a))
-        want = np.sort_complex(s.eigen_complex())
-        assert np.max(np.abs(got - want)) < 1e-10
+    for start in (moved, tz):
+        dz = normalize(start)
+        assert dz.normalization == "det_zero"
+        assert signature(dz, 3).distance(signature(sysm, 3)) < 1e-10
+        # eigenvalues reproduced through the round trip
+        for a, s in zip(dz.residues, dz.specs):
+            got = np.sort_complex(np.linalg.eigvals(a))
+            want = np.sort_complex(s.eigen_complex())
+            assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_pvi_det_zero_eigenvalues():

@@ -76,6 +76,24 @@ def test_det_rank_solve_inverse():
     assert ratlin.mmul(sing, ratlin.transpose([ker[0]])) == ((F(0),), (F(0),))
 
 
+@pytest.mark.parametrize("op", ["solve", "inv", "rank"])
+def test_int_input_stays_exact(op):
+    """An int pivot divides as a Fraction, so elimination on int matrices
+    runs over Q, not in floating point."""
+    a = ((3, 1), (1, 3))
+    if op == "solve":
+        out = ratlin.solve(a, ((1,), (0,)))
+        assert out == ((F(3, 8),), (F(-1, 8),))
+    elif op == "inv":
+        out = ratlin.inv(a)
+        assert out == ((F(3, 8), F(-1, 8)), (F(-1, 8), F(3, 8)))
+    else:
+        b = ((3, 1, 2), (1, 3, 5), (4, 4, 7))
+        assert ratlin.rank(b) == 2
+        out = ratlin._rref(b)[0]
+    assert all(type(x) is F for row in out for x in row)
+
+
 def test_left_pseudo_inverse():
     rng = random.Random(1)
     phi = ratlin.mat([[F(rng.randint(-5, 5), rng.randint(1, 3))

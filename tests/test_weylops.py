@@ -31,6 +31,7 @@ from starweyl.fuchsian import (
     signature,
 )
 from starweyl.quiver import AlmostAffineQuiver, IncrementedQuiver
+from starweyl.ratlin import GaussianRational, to_complex
 from starweyl.tolerances import MINPOLY_TOL, ORBIT_TOL
 from starweyl.weylops import (
     IncrementedPair,
@@ -123,6 +124,38 @@ def test_pair_specs_match_the_negate_and_shift_construction(drawn):
     assert (pair.hat_spec, pair.breve_specs) == _negate_and_shift_specs(pair)
 
 
+def _trace_sums_agree(pair):
+    """The trace compatibility test as IncrementedPair.verify once ran it:
+    the breve spec traces, summed in Fractions, against the hat trace."""
+    return sum((s.trace() for s in pair.breve_specs), F(0)) == pair.hat_spec.trace()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_level_zero_plus(), st.booleans(), st.integers(1, 3), st.integers(-3, 3),
+       st.data())
+def test_trace_compatibility_is_level_zero(drawn, level_zero, off, im, data):
+    """The breve traces sum to the hat trace exactly when lam_plus is level
+    zero on the Q+ dimensions, so verify reads is_level_zero instead.  An
+    imaginary part at one node, balanced at the centre, keeps the level; off
+    moves it by N * off / 7."""
+    inc, lam_plus = drawn
+    g, d = inc.graph, inc.dims
+    node = data.draw(st.sampled_from([k for k in range(g.node_count)
+                                      if k != g.center]))
+    vals = list(lam_plus.values)
+    vals[node] = vals[node] + GaussianRational(0, F(im, 5))
+    vals[g.center] = vals[g.center] - GaussianRational(0, F(im * d[node], 5 * d[g.center]))
+    if not level_zero:
+        vals[g.center] = vals[g.center] + F(off, 7)
+    lam = ParamVector(tuple(vals))
+    zero = np.zeros((inc.big_n, inc.big_n), dtype=complex)
+    pair = IncrementedPair(inc, lam, zero, zero, ())
+    assert _trace_sums_agree(pair) == lam.is_level_zero(d) == level_zero
+    if not level_zero:
+        with pytest.raises(ValueError, match="trace compatibility fails"):
+            pair.verify()
+
+
 def test_lift_rejects_zero_residue():
     sysm, lam = sample_system("D4", seed=2)
     finite = [a.copy() for a in sysm.finite_residues]
@@ -152,7 +185,7 @@ def test_scalar_shift_spectra_and_parameters():
 
 def test_project_round_trip_signature():
     sysm, lam = sample_system("E7", seed=5)
-    sys0 = normalize(sysm, "det_zero")
+    sys0 = normalize(sysm)
     pair = lift(sys0)
     back = project(scalar_shift(scalar_shift(pair, F(-2, 3)), F(2, 3)))
     assert signature(back, 4).distance(signature(sys0, 4)) < 1e-8
@@ -167,7 +200,7 @@ def test_relabel_first_two_keeps_every_orbit_key():
     from starweyl.quiver import permute_params
     for name in AFFINE_TYPES:
         for seed in range(30):
-            pair = lift(normalize(sample_system(name, seed)[0], "det_zero"))
+            pair = lift(normalize(sample_system(name, seed)[0]))
             out = replace(pair, lam_plus=permute_params(pair.inc,
                                                         pair.lam_plus))
             assert weylops._orbit_keys(out) == weylops._orbit_keys(pair)
@@ -182,7 +215,7 @@ def test_relabel_first_two_verifies_where_the_keys_differ(monkeypatch):
         calls.append(pair)
         return verify(pair)
 
-    pair = lift(normalize(sample_system("E6", 0)[0], "det_zero"))
+    pair = lift(normalize(sample_system("E6", 0)[0]))
     monkeypatch.setattr(IncrementedPair, "verify", spy)
     weylops.relabel_first_two(pair)
     assert calls == []
@@ -281,10 +314,28 @@ def test_tensor_shift_freedom():
     theta1 = sysm.specs[0].values[1]
     assert out.specs[0].values == (F(1), theta1 + 1)
     assert out.specs[3].values[0] == F(-1)
-    back = normalize(out, "det_zero")
+    back = normalize(out)
     assert signature(back, 3).distance(signature(sysm, 3)) < 1e-12
     # identity at c = 0
     assert tensor_shift(sysm, (0, 0, 0)).specs == sysm.specs
+
+
+@pytest.mark.parametrize("shift", [F(2, 3), GaussianRational(F(1, 2), F(-1, 3))],
+                         ids=["rational", "gaussian"])
+@pytest.mark.parametrize("name", AFFINE_TYPES)
+def test_normalize_shifts_each_residue_by_its_offset(name, shift):
+    """A tensor-shifted system's specs start at its offsets (orbit_from_leg
+    starts there), and normalize moves each finite residue by exactly
+    minus its offset, zeroing the offsets in their own type."""
+    sysm, _ = sample_system(name, seed=0)
+    moved = tensor_shift(sysm, [shift * (k + 1) for k in range(sysm.m - 1)])
+    assert [s.values[0] for s in moved.specs] == list(moved.offsets)
+    out = normalize(moved)
+    assert all(o == 0 for o in out.offsets)
+    assert [type(o) for o in out.offsets] == [type(o) for o in moved.offsets]
+    assert out.lam == moved.lam
+    for a, b, o in zip(out.finite_residues, moved.finite_residues, moved.offsets):
+        assert np.array_equal(a, b - to_complex(o) * np.eye(sysm.n))
 
 
 def test_central_reflection_commutes_with_tensor_shift():
@@ -466,7 +517,7 @@ def _reference_run(sys0, shifts):
 def _reference_translate(sys, mu):
     from starweyl.fuchsian import FuchsianSystem, balance, predicted_specs
     from starweyl.weylops import _plan_moves, _polish_residues
-    sys0 = balance(normalize(sys, "det_zero"))
+    sys0 = balance(normalize(sys))
     lam_new, plans = _plan_moves(sys0, mu)
     for shifts, consts in plans:
         offsets = tuple(F(c) for c in consts)
@@ -478,7 +529,7 @@ def _reference_translate(sys, mu):
             out = FuchsianSystem(sys0.graph, sys0.poles, finite, lam_new,
                                  offsets, sys0.tol)
             out.verify()
-            return normalize(out, "det_zero")
+            return normalize(out)
         except DegeneracyError:
             pass
     raise DegeneracyError("reference plans failed")
